@@ -1,19 +1,13 @@
 #include "verify/datapath.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
+
+#include "util/profiler.h"
+#include "verify/synth_kernels_internal.h"
 
 namespace ftms {
 namespace {
-
-// SplitMix64-style mixer keyed by (object, track, word index).
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Extent of parity group `group`: first member track and member count
 // (short final groups have fewer).
@@ -137,20 +131,12 @@ Status CheckGroupReconstructible(const Layout& layout, int object_id,
 void SynthesizeDataBlockInto(int object_id, int64_t track,
                              size_t block_bytes, Block* out) {
   out->resize(block_bytes);
-  const uint64_t seed =
-      Mix((static_cast<uint64_t>(static_cast<uint32_t>(object_id)) << 32) ^
-          static_cast<uint64_t>(track));
-  uint64_t counter = seed;
-  uint8_t* dst = out->data();
-  size_t i = 0;
-  for (; i + 8 <= block_bytes; i += 8) {
-    const uint64_t word = Mix(counter++);
-    std::memcpy(dst + i, &word, 8);
-  }
-  if (i < block_bytes) {
-    const uint64_t word = Mix(counter++);
-    std::memcpy(dst + i, &word, block_bytes - i);
-  }
+  // The word stream is keyed by (object, track): its first counter is a
+  // Mix of the key.
+  const uint64_t seed = internal::Mix(
+      (static_cast<uint64_t>(static_cast<uint32_t>(object_id)) << 32) ^
+      static_cast<uint64_t>(track));
+  internal::ActiveSynthKernel().fill(out->data(), seed, block_bytes);
 }
 
 Block SynthesizeDataBlock(int object_id, int64_t track,
@@ -280,12 +266,11 @@ Status ReconstructTracksInto(const Layout& layout, int object_id,
                              DegradedReadScratch* scratch,
                              std::vector<TrackRead>* out) {
   out->resize(tracks.size());
-  // Group synthesis is the dominant cost; reuse it while consecutive
-  // batch entries stay inside one parity group (the scrub / sequential
-  // rebuild pattern).
-  int64_t synthesized_group = -1;
-  int64_t first = 0;
-  int members = 0;
+  // Every degraded single-parity entry pays for its own group synthesis:
+  // a reconstructible group has exactly one member down, so a batch never
+  // holds two degraded tracks of one group and there is nothing to share.
+  // Dual-parity groups are repaired whole, so a second erased member of
+  // the same group is served from that repair by copy.
   for (size_t i = 0; i < tracks.size(); ++i) {
     const int64_t track = tracks[i];
     TrackRead& read = (*out)[i];
@@ -298,17 +283,14 @@ Status ReconstructTracksInto(const Layout& layout, int object_id,
       continue;
     }
     const int64_t group = layout.GroupOf(track);
-    if (group != synthesized_group) {
-      GroupExtent(layout, group, object_tracks, &first, &members);
-    }
+    int64_t first;
+    int members;
+    GroupExtent(layout, group, object_tracks, &first, &members);
     if (layout.parity_blocks() == 2) {
-      // One whole-group P+Q repair per group; later tracks of the same
-      // group are served out of the repaired scratch by copy.
       if (scratch->repaired_group != group) {
         FTMS_RETURN_IF_ERROR(RepairGroupPq(layout, object_id, group, first,
                                            members, failed_disks,
                                            block_bytes, scratch));
-        synthesized_group = -1;  // scratch->group no longer pristine
       }
       const Block& repaired =
           scratch->group[static_cast<size_t>(track - first)];
@@ -318,10 +300,10 @@ Status ReconstructTracksInto(const Layout& layout, int object_id,
     }
     FTMS_RETURN_IF_ERROR(CheckGroupReconstructible(
         layout, object_id, track, group, first, members, failed_disks));
-    if (group != synthesized_group) {
+    {
+      FTMS_PROF_SCOPE("rebuild/synthesize");
       SynthesizeGroupMembers(object_id, first, members, block_bytes,
                              scratch);
-      synthesized_group = group;
     }
     ReconstructFromGroup(static_cast<int>(track - first), members, scratch,
                          &read.data);

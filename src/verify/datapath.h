@@ -21,6 +21,12 @@ namespace ftms {
 // the "disk" never stores anything, it regenerates the same bytes on
 // every read, and parity blocks are the XOR of their group's synthesized
 // data blocks — exactly the bytes a real write path would have placed.
+// A block is a SplitMix64 word stream keyed by (object, track). Synthesis
+// is most of a reconstruction's work (C-1 group members per rebuilt
+// track, plus the ground truth it is checked against), so it runs on a
+// kernel chosen once from CPU features: AVX-512 F+DQ, else AVX2, else
+// the scalar loop (verify/synth_kernels_internal.h). Every kernel writes
+// byte-identical blocks; datapath_test pins them with a golden.
 //
 // The `...Into` forms write through caller-owned blocks/scratch so that
 // loops over many tracks (scrubbing, integrity-mode delivery, rebuild,
@@ -102,13 +108,14 @@ StatusOr<TrackRead> ReadTrackDegraded(const Layout& layout, int object_id,
                                       size_t block_bytes);
 
 // Batched reconstruction: serves every entry of `tracks` (in order) the
-// way ReadTrackDegradedInto would, writing (*out)[i] for tracks[i], but
-// amortizing the per-track overhead across the batch — consecutive
-// tracks of the same parity group share one group synthesis, and all
-// scratch/output capacity is reused across calls. This is the
-// RebuildManager's byte-level regeneration path: one call per rebuild
-// cycle instead of one fold per track. Fails (UNAVAILABLE / OUT_OF_RANGE)
-// on the first unreconstructible track, like the single-track form.
+// way ReadTrackDegradedInto would, writing (*out)[i] for tracks[i], with
+// all scratch/output capacity reused across calls. This is the
+// RebuildManager's byte-level regeneration path, one call per rebuild
+// cycle. A single-disk rebuild never has two pending tracks of one
+// parity group, so each degraded track synthesizes its own group; only
+// a dual-parity group with two erased members is repaired once and
+// served twice. Fails (UNAVAILABLE / OUT_OF_RANGE) on the first
+// unreconstructible track, like the single-track form.
 Status ReconstructTracksInto(const Layout& layout, int object_id,
                              std::span<const int64_t> tracks,
                              int64_t object_tracks,

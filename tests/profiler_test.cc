@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "server/server.h"
 #include "util/thread_pool.h"
 
 namespace ftms {
@@ -118,6 +119,60 @@ TEST_F(ProfilerTest, ResetDropsEverything) {
   Profiler::Reset();
   EXPECT_EQ(Profiler::CountOf("test/gone"), 0);
   EXPECT_TRUE(Profiler::MergedTree().children.empty());
+}
+
+// First node named `name` in a depth-first walk of the merged tree.
+const Profiler::MergedNode* FindNode(const Profiler::MergedNode& node,
+                                     const std::string& name) {
+  if (node.name == name) return &node;
+  for (const Profiler::MergedNode& child : node.children) {
+    if (const Profiler::MergedNode* found = FindNode(child, name)) {
+      return found;
+    }
+  }
+  return nullptr;
+}
+
+// A byte-level rebuild splits its reconstruct scope into group
+// synthesis, the parity fold and the ground-truth check.
+TEST_F(ProfilerTest, DataRebuildSplitsReconstructIntoLayers) {
+  ServerConfig config;
+  config.scheme = Scheme::kStreamingRaid;
+  config.parity_group_size = 5;
+  config.params.num_disks = 10;
+  config.params.k_reserve = 2;
+  config.params.disk.capacity_mb = 2.5;  // 50 tracks: a short rebuild
+  auto server = std::move(MultimediaServer::Create(config).value());
+  MediaObject movie;
+  movie.id = 0;
+  movie.rate_mb_s = 0.1875;
+  movie.num_tracks = 40;
+  ASSERT_TRUE(server->AddObject(movie).ok());
+  ASSERT_TRUE(server->mutable_rebuild().AttachDataPath(0, 40, 256).ok());
+  ASSERT_TRUE(server->FailDisk(1).ok());
+  ASSERT_TRUE(server->StartRebuild(1).ok());
+  const int64_t pending = server->rebuild().data_tracks_pending();
+  ASSERT_GT(pending, 0);
+  server->RunCycles(5);
+  ASSERT_FALSE(server->rebuild().Active());
+  ASSERT_EQ(server->rebuild().data_mismatches(), 0);
+
+  Profiler::FoldAtSyncPoint();
+  const Profiler::MergedNode tree = Profiler::MergedTree();
+  const Profiler::MergedNode* reconstruct =
+      FindNode(tree, "rebuild/reconstruct");
+  ASSERT_NE(reconstruct, nullptr);
+  int64_t synthesize = 0, fold = 0, verify = 0;
+  for (const Profiler::MergedNode& child : reconstruct->children) {
+    if (child.name == "rebuild/synthesize") synthesize = child.count;
+    if (child.name == "parity/xor") fold = child.count;
+    if (child.name == "rebuild/verify") verify = child.count;
+  }
+  // One group synthesis and one fold per rebuilt track, one check per
+  // batch.
+  EXPECT_EQ(synthesize, pending);
+  EXPECT_EQ(fold, pending);
+  EXPECT_EQ(verify, reconstruct->count);
 }
 
 }  // namespace
