@@ -18,8 +18,7 @@ namespace {
 
 // Perf-trajectory counters accumulated across the five farm runs.
 // Passed through RunFarm (no file-scope state) so the suite can be run
-// several times in one process — e.g. sweeping FTMS_THREADS settings —
-// with independent totals.
+// several times in one process with independent totals.
 struct FarmTotals {
   int64_t cycles = 0;
   int64_t reads = 0;
@@ -92,12 +91,11 @@ int main() {
   const double wall_s = timer.Seconds();
   std::printf(
       "\n%lld scheduler cycles / %lld disk reads in %.3f s "
-      "(%.0f cycles/s, %.2e reads/s) at %d worker thread(s)\n",
+      "(%.0f cycles/s, %.2e reads/s), serial cycles\n",
       static_cast<long long>(totals.cycles),
       static_cast<long long>(totals.reads), wall_s,
       static_cast<double>(totals.cycles) / wall_s,
-      static_cast<double>(totals.reads) / wall_s,
-      ThreadPool::DefaultThreadCount());
+      static_cast<double>(totals.reads) / wall_s);
   bench::Reporter report("full_farm");
   report.Set("cycles", static_cast<double>(totals.cycles));
   report.Set("reads", static_cast<double>(totals.reads));

@@ -51,10 +51,11 @@ struct QosEvent {
 // Append-only structured journal with the same zero-cost-off contract as
 // MetricsRegistry / Tracer: components hold a nullable EventJournal* and
 // Global() is only handed out when FTMS_QOS=1 (or SetGlobalEnabled(true)),
-// so a detached site costs one untaken branch. All producers append at
-// serial points only (cycle boundaries, failure injection, rebuild steps),
-// which makes the journal byte-identical at any FTMS_THREADS setting; the
-// internal mutex merely guards concurrent rigs sharing the global journal.
+// so a detached site costs one untaken branch. Producers append from the
+// scheduler's serial cycle loop and the hooks it drives (cycle boundaries,
+// failure injection, rebuild steps), which makes the journal byte-
+// identical run to run; the internal mutex merely guards concurrent rigs
+// sharing the global journal.
 //
 // Memory is bounded: the journal keeps at most `max_events` entries
 // (FTMS_QOS_MAX_EVENTS, default 262144 ≈ 11 MB) as a ring — when full,

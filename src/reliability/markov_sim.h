@@ -41,11 +41,15 @@ struct ReliabilitySimConfig {
   double mttr_hours = 10.0;
   int trials = 200;
   uint64_t seed = 1234;
-  // Worker threads for the trial loop: 0 = ThreadPool::DefaultThreadCount()
-  // (the FTMS_THREADS env var, else hardware concurrency), 1 = run inline
-  // on the calling thread. Trials are independent and each runs on its own
-  // RNG stream (seed ^ SplitMix64Hash(trial)), so every estimate is
-  // bit-identical at any thread count.
+  // Pool switch for the trial loop, not a worker count. 1 runs every trial
+  // inline on the calling thread. Any value above 1 runs the trials on
+  // ThreadPool::Shared(), which has ThreadPool::DefaultThreadCount()
+  // workers (the FTMS_THREADS env var, else hardware concurrency) whatever
+  // the value; 0 stands for DefaultThreadCount() and follows the same
+  // rule. With a one-worker shared pool (a 1-CPU host, FTMS_THREADS
+  // unset) every setting runs inline. Trials are independent and each
+  // runs on its own RNG stream (seed ^ SplitMix64Hash(trial)), so every
+  // estimate is bit-identical at any setting and worker count.
   int threads = 0;
   // Metrics sink override: null uses MetricsRegistry::Global() when
   // FTMS_METRICS=1, else no metrics. Estimates are published at the serial

@@ -26,32 +26,31 @@ void StreamingRaidScheduler::DoOnStreamStopped(Stream* stream) {
   }
 }
 
-bool StreamingRaidScheduler::RepairGroupBytes(GroupBuffer* buf,
-                                              VerifyScratch* scratch) {
+bool StreamingRaidScheduler::RepairGroupBytes(GroupBuffer* buf) {
   if (geom_.parity_blocks == 2) {
     // Dual parity: hand every erased unit (missing data positions, P at
     // index k, Q at k+1) to the GF(2^8) codec in one call. Erased units
     // need correctly sized placeholder blocks.
-    scratch->missing_units.clear();
+    scratch_.missing_units.clear();
     for (int i = 0; i < buf->tracks; ++i) {
       if (!buf->have[static_cast<size_t>(i)]) {
         buf->data[static_cast<size_t>(i)].assign(kVerifyBlockBytes, 0);
-        scratch->missing_units.push_back(i);
+        scratch_.missing_units.push_back(i);
       }
     }
     if (!buf->parity_ok) {
       buf->parity.assign(kVerifyBlockBytes, 0);
-      scratch->missing_units.push_back(buf->tracks);
+      scratch_.missing_units.push_back(buf->tracks);
     }
     if (!buf->q_ok) {
       buf->qparity.assign(kVerifyBlockBytes, 0);
-      scratch->missing_units.push_back(buf->tracks + 1);
+      scratch_.missing_units.push_back(buf->tracks + 1);
     }
-    if (scratch->missing_units.size() > 2) return false;
+    if (scratch_.missing_units.size() > 2) return false;
     return ReconstructPq(
                std::span<Block>(buf->data.data(),
                                 static_cast<size_t>(buf->tracks)),
-               &buf->parity, &buf->qparity, scratch->missing_units)
+               &buf->parity, &buf->qparity, scratch_.missing_units)
         .ok();
   }
   // Single parity: XOR of the surviving data blocks and the parity
@@ -62,20 +61,18 @@ bool StreamingRaidScheduler::RepairGroupBytes(GroupBuffer* buf,
   }
   if (missing_at < 0) return true;
   Block rebuilt = buf->parity;
-  scratch->srcs.clear();
+  scratch_.srcs.clear();
   for (int j = 0; j < buf->tracks; ++j) {
     if (j == missing_at) continue;
-    scratch->srcs.push_back(buf->data[static_cast<size_t>(j)].data());
+    scratch_.srcs.push_back(buf->data[static_cast<size_t>(j)].data());
   }
-  XorIntoN(rebuilt, scratch->srcs.data(),
-           static_cast<int>(scratch->srcs.size()));
+  XorIntoN(rebuilt, scratch_.srcs.data(),
+           static_cast<int>(scratch_.srcs.size()));
   buf->data[static_cast<size_t>(missing_at)] = std::move(rebuilt);
   return true;
 }
 
-void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
-                                          GroupBuffer* buf,
-                                          VerifyScratch* scratch) {
+void StreamingRaidScheduler::DeliverGroup(Stream* stream, GroupBuffer* buf) {
   // Track i of the buffered group is on time if it was read, or if the
   // missing blocks are recoverable from the parity blocks present in
   // memory (on-the-fly reconstruction, Observation 2): one erasure via P
@@ -85,8 +82,8 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
   const int missing = buf->missing;
   if (missing == 0 && !config_.verify_data) {
     // Healthy fast path: whole group present, one batched delivery.
-    DeliverTracksOnTime(ctx, stream, buf->tracks);
-    ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+    DeliverTracksOnTime(stream, buf->tracks);
+    ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
     buf->ready = false;
     buf->buffered_tracks = 0;
     return;
@@ -96,27 +93,27 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
   if (can_reconstruct && config_.verify_data) {
     // Repair the actual bytes before delivery; a codec failure (which
     // the accounting above says cannot happen) falls back to hiccups.
-    can_reconstruct = RepairGroupBytes(buf, scratch);
+    can_reconstruct = RepairGroupBytes(buf);
   }
   for (int i = 0; i < buf->tracks; ++i) {
     bool on_time = buf->have[static_cast<size_t>(i)];
     if (!on_time && can_reconstruct) {
       on_time = true;
-      ++ctx.metrics.reconstructed;
+      ++metrics_.reconstructed;
       CountReconstruction(geom_.GroupCluster(
           stream->object().id, geom_.GroupOf(buf->first_track)));
     }
     if (config_.verify_data && on_time) {
-      ++ctx.metrics.verified_tracks;
+      ++metrics_.verified_tracks;
       SynthesizeDataBlockInto(stream->object().id, buf->first_track + i,
-                              kVerifyBlockBytes, &scratch->block);
-      if (buf->data[static_cast<size_t>(i)] != scratch->block) {
-        ++ctx.metrics.verify_failures;
+                              kVerifyBlockBytes, &scratch_.block);
+      if (buf->data[static_cast<size_t>(i)] != scratch_.block) {
+        ++metrics_.verify_failures;
       }
     }
-    DeliverTrack(ctx, stream, on_time);
+    DeliverTrack(stream, on_time);
   }
-  ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+  ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
   buf->ready = false;
   buf->buffered_tracks = 0;
   buf->data.clear();
@@ -124,9 +121,7 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
   buf->qparity.clear();
 }
 
-void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
-                                           GroupBuffer* buf,
-                                           VerifyScratch* scratch) {
+void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf) {
   const int per_group = geom_.per_group;
   const int64_t first = stream->position();
   const int64_t group = geom_.GroupOf(first);
@@ -150,7 +145,7 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
   // the group is track first + i on disk i of the group's cluster.
   const int cluster = geom_.GroupCluster(object.id, group);
   for (int i = 0; i < tracks; ++i) {
-    const bool ok = TryRead(ctx, geom_.DataDisk(cluster, i),
+    const bool ok = TryRead(geom_.DataDisk(cluster, i),
                             /*is_parity=*/false) == ReadOutcome::kOk;
     buf->have[static_cast<size_t>(i)] = ok;
     if (!ok) ++buf->missing;
@@ -160,22 +155,22 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
     }
   }
   buf->parity_ok =
-      TryRead(ctx, geom_.ParityDisk(object.id, group, cluster),
+      TryRead(geom_.ParityDisk(object.id, group, cluster),
               /*is_parity=*/true) == ReadOutcome::kOk;
   if (config_.verify_data && buf->parity_ok) {
     const Status status = SynthesizeParityBlockInto(
         *layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
-        &buf->parity, &scratch->parity_scratch);
+        &buf->parity, &scratch_.parity_scratch);
     if (!status.ok()) buf->parity.clear();
   }
   buf->q_ok = false;
   if (geom_.parity_blocks == 2) {
-    buf->q_ok = TryRead(ctx, geom_.QParityDisk(cluster),
+    buf->q_ok = TryRead(geom_.QParityDisk(cluster),
                         /*is_parity=*/true) == ReadOutcome::kOk;
     if (config_.verify_data && buf->q_ok) {
       const Status status = SynthesizeQParityBlockInto(
           *layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
-          &buf->qparity, &scratch->parity_scratch);
+          &buf->qparity, &scratch_.parity_scratch);
       if (!status.ok()) buf->qparity.clear();
     }
   }
@@ -183,34 +178,20 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
   // Group in memory until delivered: the data tracks plus every parity
   // track (one for SR, P and Q for SR-2).
   buf->buffered_tracks = tracks + geom_.parity_blocks;
-  AcquireBuffers(ctx, buf->buffered_tracks);
-}
-
-int StreamingRaidScheduler::ShardCluster(const Stream& stream) const {
-  const GroupBuffer& buf = state_[static_cast<size_t>(stream.id())];
-  // After delivering the buffered group (if any), the stream reads the
-  // group at first_track + tracks; otherwise the group at its position.
-  const int64_t pos =
-      buf.ready ? buf.first_track + buf.tracks : stream.position();
-  return geom_.GroupCluster(stream.object().id, geom_.GroupOf(pos));
+  AcquireBuffers(buf->buffered_tracks);
 }
 
 void StreamingRaidScheduler::DoRunCycle() {
-  RunClusterSharded(
-      [this](const Stream& stream) { return ShardCluster(stream); },
-      [this](ShardCtx& ctx, std::span<Stream* const> shard) {
-        VerifyScratch scratch;
-        for (Stream* stream : shard) {
-          GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
-          // Delivery phase: transmit the group read in the previous
-          // cycle; read phase: fetch the next group while still active.
-          if (buf.ready) DeliverGroup(ctx, stream, &buf, &scratch);
-          if (stream->state() == StreamState::kActive && !buf.ready &&
-              !stream->finished()) {
-            ReadNextGroup(ctx, stream, &buf, &scratch);
-          }
-        }
-      });
+  for (Stream* stream : active_streams()) {
+    GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
+    // Delivery phase: transmit the group read in the previous cycle; read
+    // phase: fetch the next group while still active.
+    if (buf.ready) DeliverGroup(stream, &buf);
+    if (stream->state() == StreamState::kActive && !buf.ready &&
+        !stream->finished()) {
+      ReadNextGroup(stream, &buf);
+    }
+  }
 }
 
 }  // namespace ftms

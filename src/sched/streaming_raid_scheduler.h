@@ -58,8 +58,8 @@ class StreamingRaidScheduler : public CycleScheduler {
   // still exercising real XOR reconstruction.
   static constexpr size_t kVerifyBlockBytes = 64;
 
-  // Per-shard datapath scratch (integrity mode): synthesis targets and
-  // the multi-source pointer batch reused across tracks so the verify
+  // Datapath scratch (integrity mode): synthesis targets and the
+  // multi-source pointer batch reused across tracks so the verify
   // pipeline never allocates per track.
   struct VerifyScratch {
     Block block;
@@ -71,19 +71,13 @@ class StreamingRaidScheduler : public CycleScheduler {
   // Repairs the buffered group's missing bytes in place (integrity mode):
   // XOR through P for single-parity layouts, the P+Q codec for dual-
   // parity. Returns false when the repair could not run (codec error).
-  bool RepairGroupBytes(GroupBuffer* buf, VerifyScratch* scratch);
+  bool RepairGroupBytes(GroupBuffer* buf);
 
-  // The cluster every read of `stream` lands on this cycle: the group
-  // being fetched after delivery (all C-1 data disks plus the parity disk
-  // of a group share one cluster in this layout).
-  int ShardCluster(const Stream& stream) const;
-
-  void DeliverGroup(ShardCtx& ctx, Stream* stream, GroupBuffer* buf,
-                    VerifyScratch* scratch);
-  void ReadNextGroup(ShardCtx& ctx, Stream* stream, GroupBuffer* buf,
-                     VerifyScratch* scratch);
+  void DeliverGroup(Stream* stream, GroupBuffer* buf);
+  void ReadNextGroup(Stream* stream, GroupBuffer* buf);
 
   std::vector<GroupBuffer> state_;  // indexed by StreamId
+  VerifyScratch scratch_;
 };
 
 }  // namespace ftms

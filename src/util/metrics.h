@@ -26,11 +26,11 @@ namespace ftms {
 //    (or SetGlobalEnabled(true)) — tests use private instances instead.
 //  * Allocation-free recording: cells are fixed atomic slots created at
 //    registration time; Add/Set never allocate, lock or retry, so they are
-//    safe inside the cluster-parallel cycle kernels.
-//  * Determinism: every cell is either written only from serial points
-//    (gauges, histograms sampled at cycle end) or accumulated with
-//    commutative relaxed atomic adds (counters), so the exported values are
-//    bit-identical at any FTMS_THREADS setting. The one exception is
+//    safe on the scheduler's per-read path and from worker threads.
+//  * Determinism: gauges and histograms are written from the scheduler's
+//    serial cycle loop and other single-threaded sync points, and counters
+//    accumulate with commutative relaxed atomic adds, so the exported
+//    values are bit-identical run to run. The one exception is
 //    HistogramCell::sum() for wall-clock inputs, which is inherently
 //    timing-dependent; nothing deterministic is derived from it.
 //
@@ -38,9 +38,9 @@ namespace ftms {
 // part before '{' is the family; all samples of one family must share a
 // kind. LabeledName() builds such names without hand-quoting.
 
-// Monotonic counter. Relaxed atomic adds: concurrent increments from
-// cluster kernels fold commutatively, so totals are thread-count
-// invariant.
+// Monotonic counter. Relaxed atomic adds: concurrent increments (the
+// shared worker pool's task counters, rigs sharing one registry) fold
+// commutatively, so totals do not depend on the interleaving.
 class Counter {
  public:
   void Add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }

@@ -9,6 +9,12 @@ namespace {
 // own RNG stream derived only from (seed, i), and the per-trial results
 // are folded in trial order — so the estimate is BIT-identical no matter
 // how many worker threads computed it.
+//
+// `threads = 1` runs inline; 2 and 8 both select ThreadPool::Shared(),
+// whose worker count is DefaultThreadCount() (FTMS_THREADS, else the
+// host's CPUs), so those two arms run the same schedule. On a 1-CPU host
+// with FTMS_THREADS unset they run inline too; set FTMS_THREADS > 1 to
+// exercise the worker pool.
 
 ReliabilitySimConfig BaseConfig() {
   ReliabilitySimConfig config;

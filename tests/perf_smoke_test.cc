@@ -7,9 +7,10 @@ namespace ftms {
 namespace {
 
 // Tier-1 smoke for the parallel simulation engine (ctest label
-// `perf_smoke`): a tiny reliability sim actually dispatched over the
-// shared pool, so the pool + ParallelFor + per-trial RNG plumbing is
-// exercised on every test run, not only when someone runs the benches.
+// `perf_smoke`): a tiny reliability sim on the shared pool, so the pool +
+// ParallelFor + per-trial RNG plumbing is exercised on every test run
+// whose pool has more than one worker (the TSan CI job pins
+// FTMS_THREADS=4), not only when someone runs the benches.
 
 TEST(PerfSmokeTest, ParallelReliabilitySimRuns) {
   ReliabilitySimConfig config;
@@ -18,7 +19,11 @@ TEST(PerfSmokeTest, ParallelReliabilitySimRuns) {
   config.mttf_hours = 500.0;
   config.mttr_hours = 5.0;
   config.trials = 64;
-  config.threads = 4;  // force pool dispatch even on 1-CPU machines
+  // Any value above 1 selects the shared pool, whose worker count is
+  // DefaultThreadCount(): this dispatches to workers only when that count
+  // is above 1 (FTMS_THREADS, else the host's CPUs) and runs inline on a
+  // 1-CPU host with FTMS_THREADS unset.
+  config.threads = 4;
   const ReliabilityEstimate est = EstimateMttfCatastrophic(config).value();
   EXPECT_EQ(est.trials, config.trials);
   EXPECT_GT(est.mean_hours, 0);
