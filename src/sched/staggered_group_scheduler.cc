@@ -90,7 +90,8 @@ void StaggeredGroupScheduler::DeliverOne(Stream* stream, SgState* st) {
   ReleaseBuffersAtCycleEnd(1);
   --st->buffered_tracks;
   if (st->delivered == st->tracks) {
-    ReleaseBuffersAtCycleEnd(st->buffered_tracks);  // parity (and reconstruction) state
+    // Parity (and reconstruction) state.
+    ReleaseBuffersAtCycleEnd(st->buffered_tracks);
     st->buffered_tracks = 0;
   }
 }

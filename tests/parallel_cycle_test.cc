@@ -11,11 +11,11 @@ namespace {
 
 // Serial-cycle goldens: every SchedulerMetrics counter and the buffer-pool
 // peak of a farm-scale run (240-1040 streams on D = 96-100, C = 5) for
-// each of the six schemes, healthy and with a mid-cycle failure plus repair, and
-// the NC multi-rate mix. Each cycle walks the active streams once in
-// admission order; these literals pin that schedule. If an intentional
-// scheduling change moves them, re-capture and update the table — never
-// loosen the comparison.
+// each of the six schemes, healthy and with a mid-cycle failure plus
+// repair, and the NC multi-rate mix. Each cycle walks the active streams
+// once in admission order; these literals pin that schedule. If an
+// intentional scheduling change moves them, re-capture and update the
+// table — never loosen the comparison.
 
 struct RunResult {
   SchedulerMetrics metrics;
