@@ -103,7 +103,7 @@ int main() {
   report.Set("threads", static_cast<double>(ThreadPool::DefaultThreadCount()));
   report.Set("wall_s", wall_s);
   report.Set("cycles_per_sec", static_cast<double>(totals.cycles) / wall_s);
-  report.Set("events_per_sec", static_cast<double>(totals.reads) / wall_s);
+  report.Set("reads_per_sec", static_cast<double>(totals.reads) / wall_s);
   report.WriteJson();
   std::printf(
       "\nReading: at admission-controlled load no reads drop and no\n"

@@ -8,7 +8,6 @@
 #include "parity/pq_kernels.h"
 #include "parity/xor_kernels.h"
 #include "qos/event_journal.h"
-#include "sim/event_queue.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/thread_pool.h"
@@ -80,10 +79,6 @@ std::string Reporter::WriteJson() const {
   json += std::string("    \"xor_kernel\": \"") + ActiveXorKernelName() +
           "\",\n";
   json += std::string("    \"pq_kernel\": \"") + ActivePqKernelName() +
-          "\",\n";
-  json += std::string("    \"event_queue\": \"") +
-          (EventQueueKindFromEnv() == EventQueueKind::kHeap ? "heap"
-                                                            : "calendar") +
           "\"\n";
   json += "  },\n";
   json += "  \"metrics\": {\n";

@@ -38,9 +38,7 @@ class WallTimer {
 // Still within v3 (additive key, old readers unaffected), the env stamp
 // also carries "xor_kernel" — the dispatched multi-source XOR kernel
 // (parity/xor_kernels.h), which materially changes every parity-heavy
-// timing and so must travel with the numbers — and "event_queue", the
-// FTMS_EVENT_QUEUE selection (heap | calendar) driving the discrete-event
-// engine, which changes what simulator-bound timings mean.
+// timing and so must travel with the numbers.
 // Schema version 4 adds "prof_enabled" / "timeseries_enabled" to the env
 // stamp (both skew timings when on) and two optional blocks: "profile"
 // (the hierarchical wall-clock scope tree, when FTMS_PROF=1) and

@@ -24,7 +24,7 @@ void Simulator::Run() {
 void Simulator::RunUntil(SimTime t) {
   {
     FTMS_PROF_SCOPE("sim/run");
-    while (!queue_->empty() && queue_->MinTime() <= t) {
+    while (!heap_.empty() && heap_.front().time <= t) {
       StepNoFlush();
     }
   }
@@ -43,7 +43,7 @@ void Simulator::FlushInstruments() {
     events_flushed_ = events_processed_;
   }
   if (pending_gauge_ != nullptr) {
-    pending_gauge_->Set(static_cast<double>(queue_->size()));
+    pending_gauge_->Set(static_cast<double>(heap_.size()));
   }
   if (telemetry_ != nullptr) {
     telemetry_->Publish(static_cast<int64_t>(now_ * 1e6));

@@ -1,15 +1,19 @@
 #ifndef FTMS_SIM_SIMULATOR_H_
 #define FTMS_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "util/profiler.h"
 
 namespace ftms {
+
+// Simulated time, in seconds.
+using SimTime = double;
 
 // A minimal discrete-event simulation engine.
 //
@@ -19,27 +23,21 @@ namespace ftms {
 // cycles, while the reliability simulations schedule exponentially
 // distributed failure/repair events; both run on this engine.
 //
-// The pending-event set lives in an EventQueue (sim/event_queue.h): a
-// calendar queue by default, or the binary heap it is differentially
-// tested against, selected by FTMS_EVENT_QUEUE=heap|calendar or the
-// constructor argument. Both produce byte-identical simulations; see
-// DESIGN.md §11. Callbacks with small trivial captures (≤ 3 words) are
-// stored inline in the event record — scheduling them allocates nothing.
+// The pending set is one binary heap (std::push_heap/pop_heap over a
+// vector) ordered by (time, seq). A server simulation carries about one
+// event per scheduling cycle, so the engine is a negligible share of a run
+// next to the cycle's disk reads; see DESIGN.md §11.
 class Simulator {
  public:
-  using Callback = EventCallback;
+  using Callback = std::function<void()>;
 
-  Simulator() : Simulator(EventQueueKindFromEnv()) {}
-  explicit Simulator(EventQueueKind kind)
-      : queue_kind_(kind), queue_(MakeEventQueue(kind)) {}
+  Simulator() = default;
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   // Current simulated time. Starts at 0.
   SimTime Now() const { return now_; }
-
-  EventQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules `cb` to run `delay` seconds from now. Negative delays clamp
   // to "now" (the event still runs after currently pending events at the
@@ -48,9 +46,12 @@ class Simulator {
     ScheduleAt(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
-  // Schedules `cb` at absolute time `t` (clamped to Now()).
+  // Schedules `cb` at absolute time `t`, clamped to Now(). A NaN time
+  // clamps to Now() too: it would break the heap's strict weak order.
   void ScheduleAt(SimTime t, Callback cb) {
-    queue_->Push(EventRec{t < now_ ? now_ : t, next_seq_++, std::move(cb)});
+    FTMS_PROF_SCOPE("sim/queue/push");
+    heap_.push_back(EventRec{t > now_ ? t : now_, next_seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
   }
 
   // Runs the next pending event, advancing the clock. Returns false when
@@ -69,8 +70,8 @@ class Simulator {
   // `t` (even if the next pending event is later).
   void RunUntil(SimTime t);
 
-  bool empty() const { return queue_->empty(); }
-  size_t pending() const { return queue_->size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t pending() const { return heap_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
   // Optional observability sinks (null = off; must outlive the simulator).
@@ -95,12 +96,32 @@ class Simulator {
   void BindTelemetry(class TelemetryHub* hub) { telemetry_ = hub; }
 
  private:
+  // One pending event: absolute time, FIFO tie-break sequence, callback.
+  struct EventRec {
+    SimTime time = 0;
+    uint64_t seq = 0;
+    Callback cb;
+  };
+
+  // The event order is (time, seq); std::*_heap build a max-heap by their
+  // comparator, so inverting that order puts the earliest event in front.
+  static bool Later(const EventRec& a, const EventRec& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
   bool StepNoFlush() {
-    EventRec ev;
-    if (!queue_->PopMin(&ev)) return false;
-    now_ = ev.time;
+    Callback cb;
+    {
+      FTMS_PROF_SCOPE("sim/queue/pop");
+      if (heap_.empty()) return false;
+      std::pop_heap(heap_.begin(), heap_.end(), Later);
+      now_ = heap_.back().time;
+      cb = std::move(heap_.back().cb);
+      heap_.pop_back();
+    }
     ++events_processed_;
-    ev.cb();
+    cb();
     return true;
   }
 
@@ -112,8 +133,7 @@ class Simulator {
   uint64_t events_processed_ = 0;
   uint64_t events_flushed_ = 0;  // counted into events_counter_ so far
 
-  EventQueueKind queue_kind_;
-  std::unique_ptr<EventQueue> queue_;
+  std::vector<EventRec> heap_;
   // Fire-and-forget timers created by SchedulePeriodic; owned here so a
   // simulator destroyed with ticks still queued leaks nothing.
   std::vector<std::unique_ptr<class PeriodicTimer>> owned_timers_;
@@ -128,10 +148,9 @@ class Simulator {
 
 // A self-rescheduling periodic process: fires `tick` every `period`
 // seconds until it returns false or Cancel() is called. Each firing
-// schedules the next one with a single inline-capture event (one pointer),
-// so a steady periodic process allocates nothing per tick — unlike the old
-// SchedulePeriodic, which copied a shared_ptr-held std::function every
-// period.
+// schedules the next one with a one-pointer `[this]` capture, which fits
+// std::function's local buffer, so a steady periodic process allocates
+// nothing per tick.
 //
 // The tick runs BEFORE the next firing is scheduled, so the next event's
 // sequence number is larger than those of any events the tick itself

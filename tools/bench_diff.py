@@ -47,6 +47,10 @@ def load(path):
     if not isinstance(metrics, dict):
         print(f"bench_diff: {path} has no 'metrics' object", file=sys.stderr)
         sys.exit(2)
+    # bench_full_farm's reads/s was named events_per_sec before it was
+    # renamed to what it counts; older snapshots stay comparable.
+    if "events_per_sec" in metrics and "reads_per_sec" not in metrics:
+        metrics["reads_per_sec"] = metrics.pop("events_per_sec")
     return doc.get("bench", "?"), doc.get("schema_version"), metrics, doc
 
 
@@ -134,22 +138,7 @@ def main():
             f"note: comparing different benches ({base_name} vs {cur_name})"
         )
 
-    # The event-queue implementation (env.event_queue, from
-    # FTMS_EVENT_QUEUE) changes what simulator-bound timings mean; a
-    # heap-pinned snapshot is not a baseline for a calendar run. Older v3
-    # snapshots without the key are treated as the engine default.
-    base_queue = (base_doc.get("env") or {}).get("event_queue", "calendar")
-    cur_queue = (cur_doc.get("env") or {}).get("event_queue", "calendar")
-    if base_queue != cur_queue:
-        print(
-            f"bench_diff: event queue mismatch ({base_queue} vs "
-            f"{cur_queue}); rerun with the same FTMS_EVENT_QUEUE on both "
-            f"sides",
-            file=sys.stderr,
-        )
-        return 2
-
-    # Likewise a kernel pin (env.xor_kernel / env.pq_kernel, from
+    # A kernel pin (env.xor_kernel / env.pq_kernel, from
     # FTMS_XOR_KERNEL / FTMS_PQ_KERNEL) changes what the parity-bound
     # numbers mean: a scalar-pinned snapshot is not a baseline for a
     # dispatched run. Snapshots without the key ran the auto-dispatcher.
