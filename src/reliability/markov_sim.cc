@@ -1,6 +1,5 @@
 #include "reliability/markov_sim.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -10,17 +9,6 @@
 
 namespace ftms {
 namespace {
-
-struct Event {
-  double time;
-  int disk;
-  bool is_failure;  // false = repair completion
-};
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    return a.time > b.time;
-  }
-};
 
 Status Validate(const ReliabilitySimConfig& c) {
   if (c.num_disks <= 0) {
@@ -41,59 +29,60 @@ Status Validate(const ReliabilitySimConfig& c) {
   return Status::Ok();
 }
 
-// Per-worker simulation state, allocated once per chunk of trials and
-// reused — the trial loop itself is allocation-free after the first trial
-// of a chunk (the event heap and the per-cluster counters keep their
-// capacity across trials).
-struct TrialScratch {
+// The farm's state during a trial. One per worker chunk of trials,
+// reused: the trial loop is allocation-free after the chunk's first trial.
+struct Farm {
   std::vector<int> down_in_cluster;
-  std::vector<uint8_t> down;
-  std::vector<Event> heap_storage;
+  std::vector<uint8_t> down;    // down[disk] = 1 while the disk is down
+  std::vector<int> down_disks;  // the down disks, in no particular order
+  int degraded_clusters = 0;    // clusters with at least one disk down
 };
 
-// One trial: simulate until `stop(down_per_cluster, total_down, disk)`
-// returns true right after a failure event; returns the event time.
+// One trial of the farm's failure/repair chain (markov_sim.h says why it
+// is exact), run until `stop(farm, disk)` returns true right after `disk`
+// failed; returns that failure's time.
 template <typename StopFn>
 double RunTrial(const ReliabilitySimConfig& c, int cluster_size, Rng& rng,
-                TrialScratch& scratch, StopFn stop) {
+                Farm& farm, StopFn stop) {
   const int clusters = (c.num_disks + cluster_size - 1) / cluster_size;
-  scratch.down_in_cluster.assign(static_cast<size_t>(clusters), 0);
-  scratch.down.assign(static_cast<size_t>(c.num_disks), 0);
-  int total_down = 0;
-
-  // Min-heap on the scratch vector (std::push_heap/pop_heap with the
-  // inverted comparator) so the event queue's buffer survives the trial.
-  std::vector<Event>& heap = scratch.heap_storage;
-  heap.clear();
-  heap.reserve(static_cast<size_t>(c.num_disks) + 1);
-  const EventLater later;
-  for (int d = 0; d < c.num_disks; ++d) {
-    heap.push_back(Event{rng.ExponentialMean(c.mttf_hours), d, true});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Event ev = heap.back();
-    heap.pop_back();
-    const size_t disk = static_cast<size_t>(ev.disk);
-    const size_t cluster = static_cast<size_t>(ev.disk / cluster_size);
-    if (ev.is_failure) {
-      scratch.down[disk] = 1;
-      ++scratch.down_in_cluster[cluster];
-      ++total_down;
-      if (stop(scratch.down_in_cluster, total_down, ev.disk)) return ev.time;
-      heap.push_back(
-          Event{ev.time + rng.ExponentialMean(c.mttr_hours), ev.disk, false});
+  farm.down_in_cluster.assign(static_cast<size_t>(clusters), 0);
+  farm.down.assign(static_cast<size_t>(c.num_disks), 0);
+  std::vector<int>& down_disks = farm.down_disks;
+  down_disks.clear();
+  farm.degraded_clusters = 0;
+  const uint64_t disks = static_cast<uint64_t>(c.num_disks);
+  const double failure_rate = 1.0 / c.mttf_hours;
+  const double repair_rate = 1.0 / c.mttr_hours;
+  double now = 0;
+  for (;;) {
+    const int total_down = static_cast<int>(down_disks.size());
+    const double failures = (c.num_disks - total_down) * failure_rate;
+    const double rate = failures + total_down * repair_rate;
+    now += rng.ExponentialMean(1.0 / rate);
+    if (rng.NextDouble() * rate < failures) {
+      // Few disks are ever down, so rejection finds an up disk at once.
+      int disk;
+      do {
+        disk = static_cast<int>(rng.UniformInt(disks));
+      } while (farm.down[static_cast<size_t>(disk)] != 0);
+      farm.down[static_cast<size_t>(disk)] = 1;
+      down_disks.push_back(disk);
+      int& in_cluster =
+          farm.down_in_cluster[static_cast<size_t>(disk / cluster_size)];
+      if (in_cluster++ == 0) ++farm.degraded_clusters;
+      if (stop(farm, disk)) return now;
     } else {
-      scratch.down[disk] = 0;
-      --scratch.down_in_cluster[cluster];
-      --total_down;
-      heap.push_back(
-          Event{ev.time + rng.ExponentialMean(c.mttf_hours), ev.disk, true});
+      const size_t i = static_cast<size_t>(
+          rng.UniformInt(static_cast<uint64_t>(total_down)));
+      const int disk = down_disks[i];
+      down_disks[i] = down_disks.back();
+      down_disks.pop_back();
+      farm.down[static_cast<size_t>(disk)] = 0;
+      int& in_cluster =
+          farm.down_in_cluster[static_cast<size_t>(disk / cluster_size)];
+      if (--in_cluster == 0) --farm.degraded_clusters;
     }
-    std::push_heap(heap.begin(), heap.end(), later);
   }
-  return 0;  // unreachable: the heap is never empty
 }
 
 // Publishes one finished estimate into the metrics registry, keyed by the
@@ -134,14 +123,14 @@ ReliabilityEstimate RunTrials(const ReliabilitySimConfig& c,
       c.threads > 0 ? c.threads : ThreadPool::DefaultThreadCount();
   ThreadPool* pool = threads > 1 ? &ThreadPool::Shared() : nullptr;
   ParallelFor(pool, 0, c.trials, [&](int64_t lo, int64_t hi) {
-    TrialScratch scratch;
+    Farm farm;
     for (int64_t t = lo; t < hi; ++t) {
       // One scope per TRIAL (the logical work unit), never per chunk:
       // chunk shapes vary with the thread count, trial counts do not.
       FTMS_PROF_SCOPE("reliability/trial");
       Rng rng(c.seed ^ SplitMix64Hash(static_cast<uint64_t>(t)));
       times[static_cast<size_t>(t)] =
-          RunTrial(c, cluster_size, rng, scratch, stop);
+          RunTrial(c, cluster_size, rng, farm, stop);
     }
   });
 
@@ -174,9 +163,8 @@ StatusOr<ReliabilityEstimate> EstimateMttfCatastrophic(
 
   return RunTrials(
       config, cluster_size, "catastrophic",
-      [ib, clusters, cluster_size,
-       fatal](const std::vector<int>& down_per_cluster, int /*total*/,
-              int disk) {
+      [ib, clusters, cluster_size, fatal](const Farm& farm, int disk) {
+        const std::vector<int>& down_per_cluster = farm.down_in_cluster;
         const int cl = disk / cluster_size;
         if (down_per_cluster[static_cast<size_t>(cl)] >= fatal) return true;
         if (!ib) return false;
@@ -203,12 +191,8 @@ StatusOr<ReliabilityEstimate> EstimateKDegradedClusters(
   }
   return RunTrials(
       config, cluster_size, "k_degraded_clusters",
-      [k_clusters](const std::vector<int>& down_per_cluster, int, int) {
-        int degraded = 0;
-        for (int d : down_per_cluster) {
-          if (d > 0) ++degraded;
-        }
-        return degraded >= k_clusters;
+      [k_clusters](const Farm& farm, int) {
+        return farm.degraded_clusters >= k_clusters;
       });
 }
 
@@ -219,8 +203,9 @@ StatusOr<ReliabilityEstimate> EstimateKConcurrent(
     return Status::InvalidArgument("k_concurrent out of range");
   }
   return RunTrials(config, config.parity_group_size, "k_concurrent",
-                   [k_concurrent](const std::vector<int>&, int total, int) {
-                     return total >= k_concurrent;
+                   [k_concurrent](const Farm& farm, int) {
+                     return static_cast<int>(farm.down_disks.size()) >=
+                            k_concurrent;
                    });
 }
 

@@ -17,6 +17,15 @@ namespace ftms {
 // repaired in exponential time (mean MTTR). A trial runs until the target
 // event occurs; the estimate is the mean over trials with a 95% CI.
 //
+// A trial is the farm's continuous-time Markov chain, not a clock per
+// disk: with n disks up and m down, the next event comes after
+// Exp(n/MTTF + m/MTTR) and is a failure of a uniformly chosen up disk with
+// probability (n/MTTF) / (n/MTTF + m/MTTR), else the repair of a uniformly
+// chosen down disk. This is exact: exponential clocks are memoryless, and
+// the first of independent exponentials fires after an exponential of the
+// summed rates, on each clock in proportion to its rate (superposition).
+// It has the same law as a per-disk event simulation, not the same samples.
+//
 // Events:
 //  * catastrophic, clustered schemes: two disks of one C-disk cluster are
 //    down simultaneously (the group's data can no longer be reconstructed);

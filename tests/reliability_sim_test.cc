@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "model/reliability_model.h"
+#include "reliability/birth_death.h"
 #include "reliability/failure_process.h"
 #include "sim/simulator.h"
 #include "util/units.h"
@@ -103,6 +104,35 @@ TEST(ReliabilitySimTest, KConcurrentMatchesEquation6UpToFactorial) {
   EXPECT_NEAR(est.mean_hours, exact, 0.25 * exact);
   // The paper's form is a strict underestimate here.
   EXPECT_GT(est.mean_hours, eq6 * 1.3);
+}
+
+TEST(ReliabilitySimTest, OneClusterCatastropheIsExactKConcurrent) {
+  // On a one-cluster farm (D = C) "catastrophic" is exactly "K disks down
+  // at once": K = 2 for single parity, K = 3 for P+Q. The birth-death
+  // hitting time is then the exact mean, so the estimate must sit within
+  // its own sampling error of it, with no first-order model allowance.
+  struct Case {
+    Scheme scheme;
+    int k;
+  };
+  for (const Case& tc : {Case{Scheme::kStreamingRaid, 2},
+                         Case{Scheme::kStreamingRaid2, 3}}) {
+    ReliabilitySimConfig config;
+    config.num_disks = 5;
+    config.parity_group_size = 5;
+    config.scheme = tc.scheme;
+    config.mttf_hours = 1000.0;
+    config.mttr_hours = 20.0;
+    config.trials = 2000;
+    const ReliabilityEstimate est = EstimateMttfCatastrophic(config).value();
+    const double exact = ExactKConcurrentMeanHours(
+                             config.mttf_hours, config.mttr_hours,
+                             config.num_disks, tc.k)
+                             .value();
+    const double standard_error = est.ci95_hours / 1.96;
+    EXPECT_NEAR(est.mean_hours, exact, 4.0 * standard_error)
+        << SchemeAbbrev(tc.scheme) << " K=" << tc.k;
+  }
 }
 
 TEST(ReliabilitySimTest, KOneIsFirstFailure) {
