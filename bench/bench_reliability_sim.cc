@@ -2,13 +2,14 @@
 // scaled-down farm (real parameters would need centuries of simulated
 // time per trial; the formulas are scale-free in the MTTF/MTTR ratio).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_report.h"
 #include "bench/bench_util.h"
 #include "model/reliability_model.h"
 #include "reliability/markov_sim.h"
+#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace ftms {
@@ -17,11 +18,9 @@ namespace {
 // Trials per table row; FTMS_BENCH_TRIALS scales the workload up for
 // perf measurements without touching the reported tables' shape.
 int TrialsPerRow() {
-  if (const char* env = std::getenv("FTMS_BENCH_TRIALS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 300;
+  static const int trials =
+      static_cast<int>(EnvInt("FTMS_BENCH_TRIALS", 300, 1, INT32_MAX));
+  return trials;
 }
 
 int64_t total_trials = 0;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "parity/pq_kernels.h"
 #include "parity/xor_kernels.h"
@@ -13,7 +14,6 @@
 #include "util/profiler.h"
 #include "util/thread_pool.h"
 #include "util/timeseries.h"
-#include "util/trace_event.h"
 
 namespace ftms::bench {
 namespace {
@@ -35,6 +35,30 @@ void AppendNumber(std::string* out, double v) {
 // fixed count keeps live sinks deterministic: their counts cover exactly
 // this many drills.
 constexpr int kRepeatedRuns = 9;
+
+// The host CPU's "model name" from /proc/cpuinfo ("unknown" elsewhere),
+// as a JSON string literal.
+std::string CpuModelJson() {
+  std::string model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* value = std::strchr(line, ':');
+      if (value == nullptr) continue;
+      value += std::strspn(value + 1, " \t") + 1;
+      model.assign(value, std::strcspn(value, "\n"));
+      break;
+    }
+    std::fclose(f);
+  }
+  std::string json = "\"";
+  for (const char c : model) {
+    if (c == '"' || c == '\\') json.push_back('\\');
+    json.push_back(c);
+  }
+  return json + "\"";
+}
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -89,7 +113,6 @@ std::string Reporter::WriteJson() const {
   const std::string path = dir + "/BENCH_" + name_ + ".json";
 
   MetricsRegistry* registry = MetricsRegistry::GlobalIfEnabled();
-  Tracer* tracer = Tracer::GlobalIfEnabled();
   EventJournal* journal = EventJournal::GlobalIfEnabled();
   TimeSeriesRecorder* timeseries = TimeSeriesRecorder::GlobalIfEnabled();
   const bool prof = Profiler::GlobalEnabled();
@@ -105,8 +128,6 @@ std::string Reporter::WriteJson() const {
           std::to_string(ThreadPool::DefaultThreadCount()) + ",\n";
   json += std::string("    \"metrics_enabled\": ") +
           (registry != nullptr ? "true" : "false") + ",\n";
-  json += std::string("    \"trace_enabled\": ") +
-          (tracer != nullptr ? "true" : "false") + ",\n";
   json += std::string("    \"qos_enabled\": ") +
           (journal != nullptr ? "true" : "false") + ",\n";
   json += std::string("    \"prof_enabled\": ") + (prof ? "true" : "false") +
@@ -116,7 +137,10 @@ std::string Reporter::WriteJson() const {
   json += std::string("    \"xor_kernel\": \"") + ActiveXorKernelName() +
           "\",\n";
   json += std::string("    \"pq_kernel\": \"") + ActivePqKernelName() +
-          "\"\n";
+          "\",\n";
+  json += "    \"cpu_model\": " + CpuModelJson() + ",\n";
+  json += "    \"cpu_count\": " +
+          std::to_string(std::thread::hardware_concurrency()) + "\n";
   json += "  },\n";
   json += "  \"metrics\": {\n";
   for (size_t i = 0; i < metrics_.size(); ++i) {
@@ -155,13 +179,6 @@ std::string Reporter::WriteJson() const {
   if (registry != nullptr) {
     if (const char* out = std::getenv("FTMS_METRICS_OUT")) {
       if (out[0] != '\0' && registry->WritePrometheusFile(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
-  if (tracer != nullptr) {
-    if (const char* out = std::getenv("FTMS_TRACE_OUT")) {
-      if (out[0] != '\0' && tracer->WriteChromeJson(out).ok()) {
         std::printf("wrote %s\n", out);
       }
     }

@@ -35,7 +35,7 @@ struct RepeatedTimings {
 };
 
 // Runs `drill(run)` for run = 0, 1, ... a fixed number of times (9),
-// timing each run. Live sinks (metrics, trace, QoS journal, profiler, time
+// timing each run. Live sinks (metrics, QoS journal, profiler, time
 // series) accumulate over every run. Drills are deterministic, so callers
 // print their tables on run 0 only.
 RepeatedTimings TimeRepeated(const std::function<void(int run)>& drill);
@@ -46,7 +46,7 @@ RepeatedTimings TimeRepeated(const std::function<void(int run)>& drill);
 // tools/bench_diff.py.
 //
 // Schema version 2 added an "env" stamp (worker threads, whether the
-// metrics registry / tracer were enabled — both skew timings) and, when
+// metrics registry was enabled — it skews timings) and, when
 // the global registry is live, a full "registry" block of its metrics so
 // the perf numbers and the observability counters land in one artifact.
 // Schema version 3 adds "qos_enabled" to the env stamp and, when the QoS
@@ -64,15 +64,14 @@ RepeatedTimings TimeRepeated(const std::function<void(int run)>& drill);
 // and uses it to attribute guarded-metric regressions to subsystems.
 // Still within v4 (additive keys): a bench that repeats its drill reports
 // "wall_s" as the median over "runs" runs, with "wall_s_min" and
-// "wall_s_mad" beside it (Reporter::SetRepeated).
+// "wall_s_mad" beside it (Reporter::SetRepeated), and the env stamp
+// carries the host's "cpu_model" and "cpu_count" (hardware threads).
 //
 // Environment knobs:
 //   FTMS_BENCH_JSON=0        disable writing entirely
 //   FTMS_BENCH_JSON_DIR=dir  target directory (default: current dir)
 //   FTMS_METRICS_OUT=path    also export the global registry as
 //                            Prometheus text to `path`
-//   FTMS_TRACE_OUT=path      also export the global tracer as Chrome
-//                            trace JSON to `path`
 //   FTMS_QOS_OUT=path        also export the global QoS journal as
 //                            JSONL to `path`
 //   FTMS_PROF_OUT=path       also export the profiler tree as JSON to
@@ -95,7 +94,7 @@ class Reporter {
   // Writes BENCH_<name>.json and returns its path; returns "" when
   // disabled via FTMS_BENCH_JSON=0 or when the file cannot be written.
   // Also prints a one-line "wrote ..." notice on success, and honors the
-  // FTMS_METRICS_OUT / FTMS_TRACE_OUT exports when those sinks are live.
+  // FTMS_*_OUT exports of the sinks that are live.
   std::string WriteJson() const;
 
   const std::string& name() const { return name_; }

@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "parity/parity.h"
+
 namespace ftms {
 
 LayoutGeom Layout::Geom() const {
@@ -84,6 +86,11 @@ StatusOr<std::unique_ptr<DualParityLayout>> DualParityLayout::Create(
   if (parity_group_size < 3) {
     return Status::InvalidArgument(
         "dual-parity clusters need C >= 3 (two parity disks plus data)");
+  }
+  if (parity_group_size > kMaxPqDataBlocks + 2) {
+    return Status::InvalidArgument(
+        "dual-parity clusters need C <= 257 (the Q code covers at most "
+        "255 data disks)");
   }
   if (num_disks % parity_group_size != 0) {
     return Status::InvalidArgument(

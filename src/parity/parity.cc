@@ -134,6 +134,9 @@ constexpr size_t kNoSkip = static_cast<size_t>(-1);
 }  // namespace
 
 Status ComputePq(std::span<const Block> data, Block* p, Block* q) {
+  if (data.size() > static_cast<size_t>(kMaxPqDataBlocks)) {
+    return Status::InvalidArgument("pq group wider than 255 data blocks");
+  }
   StatusOr<size_t> size = CheckEqualBlockSizes(data);
   if (!size.ok()) return size.status();
   p->assign(*size, 0);
@@ -161,6 +164,9 @@ Status ReconstructPq(std::span<Block> data, Block* p, Block* q,
                      std::span<const int> missing) {
   const int k = static_cast<int>(data.size());
   if (k == 0) return Status::InvalidArgument("pq group with no data");
+  if (k > kMaxPqDataBlocks) {
+    return Status::InvalidArgument("pq group wider than 255 data blocks");
+  }
   if (missing.size() > 2) {
     return Status::InvalidArgument(
         "pq groups recover at most two erasures");

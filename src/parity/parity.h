@@ -53,13 +53,16 @@ StatusOr<bool> VerifyGroup(std::span<const Block> data, const Block& parity);
 // variants. Unit index convention for a group with k data blocks:
 // units 0..k-1 are the data blocks, unit k is P, unit k+1 is Q, with
 //   P = D0 ^ ... ^ D(k-1),   Q = g^0*D0 ^ ... ^ g^(k-1)*D(k-1)
-// over GF(2^8) (parity/gf256.h). Any two lost units are recoverable.
+// over GF(2^8) (parity/gf256.h). Any two lost units are recoverable as
+// long as the weights g^i are distinct, i.e. for k <= 255 (g has order
+// 255, so g^255 = g^0): wider groups are rejected with InvalidArgument.
 
+inline constexpr int kMaxPqDataBlocks = 255;
 inline constexpr int PqUnitP(int data_blocks) { return data_blocks; }
 inline constexpr int PqUnitQ(int data_blocks) { return data_blocks + 1; }
 
-// Computes both syndromes of `data` (non-empty, equal-sized) in fused
-// kernel passes; p and q are overwritten.
+// Computes both syndromes of `data` (1..kMaxPqDataBlocks equal-sized
+// blocks) in fused kernel passes; p and q are overwritten.
 Status ComputePq(std::span<const Block> data, Block* p, Block* q);
 
 // Verifies that p and q both match `data` — the dual-parity scrub
@@ -73,7 +76,8 @@ StatusOr<bool> VerifyPqGroup(std::span<const Block> data, const Block& p,
 // allocated to the group's block size (contents ignored), every other
 // block must hold its true contents. Covers all two-erasure cases:
 // data+data, data+P, data+Q and P+Q. InvalidArgument on more than two
-// missing units, duplicate or out-of-range indices, or size mismatches.
+// missing units, duplicate or out-of-range indices, size mismatches, or
+// more than kMaxPqDataBlocks data blocks.
 Status ReconstructPq(std::span<Block> data, Block* p, Block* q,
                      std::span<const int> missing);
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -57,12 +58,9 @@ void AppendDroppedFooter(std::string* out, int64_t sim_us,
 }
 
 size_t ResolveMaxEventsFromEnv() {
-  const char* env = std::getenv("FTMS_QOS_MAX_EVENTS");
-  if (env == nullptr || env[0] == '\0') {
-    return EventJournal::kDefaultMaxEvents;
-  }
-  const long long v = std::atoll(env);
-  return v <= 0 ? 0 : static_cast<size_t>(v);
+  return static_cast<size_t>(EnvInt("FTMS_QOS_MAX_EVENTS",
+                                    EventJournal::kDefaultMaxEvents, 0,
+                                    INT64_MAX));
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 namespace ftms {
 
 // Semantic event kinds recorded by the schedulers, the rebuild manager and
-// the simulation engine. Unlike trace spans (timing) and registry counters
-// (totals), journal events capture WHAT happened to WHOM: a specific disk
-// failed mid-sweep, a specific cluster entered its degraded transition, a
-// rebuild crossed a progress quarter, an SLO started burning.
+// the simulation engine. Unlike profiler scopes (timing) and registry
+// counters (totals), journal events capture WHAT happened to WHOM: a
+// specific disk failed mid-sweep, a specific cluster entered its degraded
+// transition, a rebuild crossed a progress quarter, an SLO started
+// burning. The journal is also the run's timeline: `ftms report --chrome`
+// renders it as Chrome trace JSON.
 enum class QosEventKind : uint8_t {
   kDiskFailed,               // value = 1 when the failure hit mid-sweep
   kDiskRepaired,             // value = 0
@@ -49,7 +51,7 @@ struct QosEvent {
 };
 
 // Append-only structured journal with the same zero-cost-off contract as
-// MetricsRegistry / Tracer: components hold a nullable EventJournal* and
+// MetricsRegistry: components hold a nullable EventJournal* and
 // Global() is only handed out when FTMS_QOS=1 (or SetGlobalEnabled(true)),
 // so a detached site costs one untaken branch. Producers append from the
 // scheduler's serial cycle loop and the hooks it drives (cycle boundaries,
@@ -67,7 +69,8 @@ class EventJournal {
  public:
   static constexpr size_t kDefaultMaxEvents = 262144;
 
-  // Reads FTMS_QOS_MAX_EVENTS (absent -> kDefaultMaxEvents, 0 -> no cap).
+  // Reads FTMS_QOS_MAX_EVENTS (absent or malformed -> kDefaultMaxEvents,
+  // 0 -> no cap).
   EventJournal();
   explicit EventJournal(size_t max_events) : max_events_(max_events) {}
   EventJournal(const EventJournal&) = delete;

@@ -92,19 +92,24 @@ Status LoadJournal(const std::string& path, RunReport* report) {
     if (const JsonValue* v = value->Find("sim_us")) event.sim_us = v->AsInt();
     if (const JsonValue* v = value->Find("cycle")) event.cycle = v->AsInt();
     if (const JsonValue* v = value->Find("value")) event.value = v->AsInt();
+    if (const JsonValue* v = value->Find("disk")) event.disk = v->AsInt();
+    if (const JsonValue* v = value->Find("cluster")) {
+      event.cluster = v->AsInt();
+    }
     if (const JsonValue* v = value->Find("scheme")) {
       event.scheme = v->AsString();
     }
     report->horizon_us = std::max(report->horizon_us, event.sim_us);
     if (event.kind == "hiccups") {
-      report->hiccups.push_back(std::move(event));
+      report->hiccups.push_back(event);
     } else if (event.kind == "slo_breach") {
-      report->slo_breaches.push_back(std::move(event));
+      report->slo_breaches.push_back(event);
     } else if (event.kind == "rebuild_start" ||
                event.kind == "rebuild_progress" ||
                event.kind == "rebuild_done") {
-      report->rebuild.push_back(std::move(event));
+      report->rebuild.push_back(event);
     }
+    report->events.push_back(std::move(event));
   }
   report->kind_counts.assign(counts.begin(), counts.end());
   return Status::Ok();
@@ -242,6 +247,23 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
     AppendDouble(out, v);
     *out += "\n";
   }
+}
+
+// Chrome trace category of a journal kind: the failure sequence, the
+// rebuild, or QoS bookkeeping (hiccups, SLOs, admission, sim footers).
+const char* ChromeCategory(const std::string& kind) {
+  if (kind.rfind("rebuild_", 0) == 0) return "rebuild";
+  if (kind.rfind("disk_", 0) == 0 || kind.rfind("degraded_", 0) == 0) {
+    return "failure";
+  }
+  return "qos";
+}
+
+void AppendChromeArg(std::string* out, const char* name, int64_t v) {
+  *out += ", \"";
+  *out += name;
+  *out += "\": ";
+  AppendInt(out, v);
 }
 
 }  // namespace
@@ -528,6 +550,92 @@ std::string RenderRunReportJson(const RunReport& report) {
   }
 
   out += "\n}\n";
+  return out;
+}
+
+std::string RenderRunReportChrome(const RunReport& report) {
+  // One pass assigns tracks and pairs rebuilds: a rebuild_start is kept
+  // as a record and, when its rebuild_done arrives on the same track,
+  // becomes the span (the done event itself is not emitted).
+  struct Record {
+    const RunReport::TimelineEvent* event;
+    int tid;
+    const RunReport::TimelineEvent* done = nullptr;  // set for spans
+  };
+  struct Run {
+    int runs = 0;  // tracks opened for this scheme so far
+    int tid = -1;  // the current one
+    int64_t last_cycle = 0;
+    int64_t open_rebuild = -1;  // records index of an unpaired start
+  };
+  std::vector<std::string> tracks;
+  std::map<std::string, Run> runs;
+  std::vector<Record> records;
+  for (const auto& e : report.events) {
+    Run& run = runs[e.scheme];
+    if (run.tid < 0 || e.cycle < run.last_cycle) {
+      run.tid = static_cast<int>(tracks.size());
+      run.open_rebuild = -1;
+      tracks.push_back(e.scheme + " #" + std::to_string(run.runs++));
+    }
+    run.last_cycle = e.cycle;
+    if (e.kind == "rebuild_done" && run.open_rebuild >= 0 &&
+        records[static_cast<size_t>(run.open_rebuild)].event->disk ==
+            e.disk) {
+      records[static_cast<size_t>(run.open_rebuild)].done = &e;
+      run.open_rebuild = -1;
+      continue;
+    }
+    if (e.kind == "rebuild_start") {
+      run.open_rebuild = static_cast<int64_t>(records.size());
+    }
+    records.push_back(Record{&e, run.tid});
+  }
+
+  std::string out =
+      "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
+      "{\"clock\": \"sim_us\"},\n\"traceEvents\": [";
+  const char* sep = "\n";
+  for (size_t tid = 0; tid < tracks.size(); ++tid) {
+    out += sep;
+    sep = ",\n";
+    out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+           "\"tid\": ";
+    AppendInt(&out, static_cast<int64_t>(tid));
+    out += ", \"args\": {\"name\": ";
+    AppendJsonString(&out, tracks[tid]);
+    out += "}}";
+  }
+  for (const Record& r : records) {
+    const RunReport::TimelineEvent& e = *r.event;
+    const bool span = r.done != nullptr;
+    out += sep;
+    sep = ",\n";
+    out += "{\"name\": ";
+    AppendJsonString(&out, span ? "rebuild" : e.kind);
+    out += ", \"cat\": \"";
+    out += ChromeCategory(e.kind);
+    out += span ? "\", \"ph\": \"X\"" : "\", \"ph\": \"i\", \"s\": \"t\"";
+    out += ", \"pid\": 1, \"tid\": ";
+    AppendInt(&out, r.tid);
+    out += ", \"ts\": ";
+    AppendInt(&out, e.sim_us);
+    if (span) {
+      out += ", \"dur\": ";
+      AppendInt(&out, std::max<int64_t>(0, r.done->sim_us - e.sim_us));
+    }
+    out += ", \"args\": {\"disk\": ";
+    AppendInt(&out, e.disk);
+    AppendChromeArg(&out, "cluster", e.cluster);
+    if (span) {
+      AppendChromeArg(&out, "tracks_total", e.value);
+      AppendChromeArg(&out, "cycles", r.done->value);
+    } else {
+      AppendChromeArg(&out, "value", e.value);
+    }
+    out += "}}";
+  }
+  out += "\n]\n}\n";
   return out;
 }
 

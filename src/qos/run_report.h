@@ -17,11 +17,13 @@ namespace ftms {
 // shape is an error, not a best-effort parse — because the report is the
 // artifact operators act on.
 struct RunReport {
-  // One journal event on a timeline (hiccups, SLO breaches, rebuild).
+  // One journal event on a timeline.
   struct TimelineEvent {
     int64_t sim_us = 0;
     int64_t cycle = -1;
     int64_t value = 0;
+    int64_t disk = -1;
+    int64_t cluster = -1;
     std::string kind;
     std::string scheme;
   };
@@ -55,6 +57,7 @@ struct RunReport {
   int64_t horizon_us = 0;  // max sim_us across all events
   std::vector<std::pair<std::string, int64_t>> kind_counts;  // name-sorted
 
+  std::vector<TimelineEvent> events;        // every event, journal order
   std::vector<TimelineEvent> hiccups;       // kind == "hiccups"
   std::vector<TimelineEvent> slo_breaches;  // kind == "slo_breach"
   std::vector<TimelineEvent> rebuild;       // rebuild_{start,progress,done}
@@ -80,10 +83,18 @@ StatusOr<RunReport> LoadRunReport(const std::string& journal_path,
                                   const std::string& timeseries_path);
 
 // Renderers. Markdown is the human artifact (SLO burn, hiccup timeline,
-// rebuild curve, per-subsystem time split); JSON is the machine one. Both
-// are deterministic for identical inputs.
+// rebuild curve, per-subsystem time split); JSON is the machine one. All
+// three are deterministic for identical inputs.
 std::string RenderRunReportMarkdown(const RunReport& report);
 std::string RenderRunReportJson(const RunReport& report);
+
+// The journal as Chrome trace-event JSON, for chrome://tracing or
+// Perfetto. Each scheme run is one track; a scheme's cycle counter going
+// backwards starts a new run (a fresh rig appending to the same journal).
+// A rebuild_start -> rebuild_done pair on one track becomes an "X" span
+// named "rebuild"; every other event is an "i" instant with its disk,
+// cluster and value as args. Timestamps are simulated microseconds.
+std::string RenderRunReportChrome(const RunReport& report);
 
 }  // namespace ftms
 

@@ -2,23 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "model/capacity.h"
+#include "util/env.h"
 
 namespace ftms {
 
 namespace {
 
 // ServerConfig::telemetry_port -1 defers to the environment; the
-// variable absent (or empty) keeps telemetry fully off.
+// variable absent, empty or not a port number keeps telemetry fully off.
 int ResolveTelemetryPort(int config_port) {
   if (config_port >= 0) return config_port;
-  const char* env = std::getenv("FTMS_TELEMETRY_PORT");
-  if (env == nullptr || env[0] == '\0') return -1;
-  return std::atoi(env);
+  return static_cast<int>(EnvInt("FTMS_TELEMETRY_PORT", -1, 0, 65535));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "util/env.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -62,12 +62,9 @@ void ThreadPool::WorkerLoop() {
 }
 
 int ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("FTMS_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return static_cast<int>(
+      EnvInt("FTMS_THREADS", hw > 0 ? hw : 1, 1, kMaxThreads));
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -43,9 +43,10 @@ class ThreadPool {
                        class Gauge* queue_depth);
 
   // Thread count used by Shared() and by components configured with
-  // "0 = default": the FTMS_THREADS environment variable when set to a
-  // positive integer, else std::thread::hardware_concurrency().
+  // "0 = default": the FTMS_THREADS environment variable when set to an
+  // integer in [1, kMaxThreads], else std::thread::hardware_concurrency().
   static int DefaultThreadCount();
+  static constexpr int kMaxThreads = 1024;
 
   // Lazily-constructed process-wide pool of DefaultThreadCount() workers.
   // Never destroyed (intentionally leaked) so it is safe to use from

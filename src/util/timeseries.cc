@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -20,19 +21,12 @@ bool ResolveEnabledFromEnv() {
 }
 
 size_t CapacityFromEnv() {
-  if (const char* env = std::getenv("FTMS_TIMESERIES_CAPACITY")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) return static_cast<size_t>(v);
-  }
-  return 512;
+  return static_cast<size_t>(
+      EnvInt("FTMS_TIMESERIES_CAPACITY", 512, 2, int64_t{1} << 24));
 }
 
 int64_t IntervalFromEnv() {
-  if (const char* env = std::getenv("FTMS_TIMESERIES_INTERVAL_US")) {
-    const long long v = std::strtoll(env, nullptr, 10);
-    if (v > 0) return static_cast<int64_t>(v);
-  }
-  return 0;
+  return EnvInt("FTMS_TIMESERIES_INTERVAL_US", 0, 0, INT64_MAX);
 }
 
 void AppendNumber(std::string* out, double v) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "tests/sched_test_util.h"
@@ -147,6 +148,20 @@ TEST(EventJournalTest, ZeroCapMeansUnbounded) {
   }
   EXPECT_EQ(journal.size(), 1000u);
   EXPECT_EQ(journal.dropped(), 0);
+}
+
+TEST(EventJournalTest, MaxEventsKnobIsParsedStrictly) {
+  const auto cap = [](const char* text) {
+    setenv("FTMS_QOS_MAX_EVENTS", text, 1);
+    return EventJournal().max_events();
+  };
+  EXPECT_EQ(cap("abc"), EventJournal::kDefaultMaxEvents);
+  EXPECT_EQ(cap("-1"), EventJournal::kDefaultMaxEvents);
+  EXPECT_EQ(cap("64k"), EventJournal::kDefaultMaxEvents);
+  EXPECT_EQ(cap("0"), 0u);  // still unbounded
+  EXPECT_EQ(cap("100"), 100u);
+  unsetenv("FTMS_QOS_MAX_EVENTS");
+  EXPECT_EQ(EventJournal().max_events(), EventJournal::kDefaultMaxEvents);
 }
 
 TEST(EventJournalTest, TailLinesReturnsNewestOldestFirst) {

@@ -107,9 +107,10 @@ TEST(Gf256Test, GfniMatrixBitsEncodeBasisImages) {
 TEST(Gf256Test, TwoDataCoefficientsSolveTheErasureSystem) {
   // For every missing pair (x, y), A and B must satisfy
   //   A ^ B*g^x == 1   and   A ^ B*g^y == 0
-  // so that A*P' ^ B*Q' recovers D_x exactly.
-  for (int x = 0; x < 16; ++x) {
-    for (int y = x + 1; y < 16; ++y) {
+  // so that A*P' ^ B*Q' recovers D_x exactly. Every pair of the 255 data
+  // positions a group may have: the MDS condition of the P+Q code.
+  for (int x = 0; x < kMaxPqDataBlocks; ++x) {
+    for (int y = x + 1; y < kMaxPqDataBlocks; ++y) {
       uint8_t a, b;
       gf256::TwoDataCoefficients(x, y, &a, &b);
       EXPECT_EQ(a ^ Mul(b, Exp(x)), 1) << x << "," << y;

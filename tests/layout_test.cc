@@ -151,6 +151,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 3, 5, 7, 10),
                        ::testing::Values(2, 4, 9)));
 
+TEST(DualParityLayoutTest, RejectsClustersWiderThanTheQCode) {
+  // C - 2 data disks per group; the Q code covers at most 255 of them.
+  for (Scheme scheme : {Scheme::kStreamingRaid2, Scheme::kNonClustered2}) {
+    EXPECT_TRUE(CreateLayout(scheme, 257, 257).ok());
+    EXPECT_EQ(CreateLayout(scheme, 258, 258).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // Dual-parity geometries (C >= 3): the shared structural checks plus the
 // P/Q placement invariant.
 class DualParityLayoutInvariants

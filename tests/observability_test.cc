@@ -1,6 +1,7 @@
 // End-to-end instrumentation test: an instrumented failure + degraded +
 // rebuild run publishes a complete, correctly-attributed picture into a
-// private MetricsRegistry and Tracer.
+// private MetricsRegistry and EventJournal, and the journal renders as a
+// well-formed Chrome timeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +11,12 @@
 #include <vector>
 
 #include "layout/schemes.h"
+#include "qos/run_report.h"
 #include "server/rebuild_manager.h"
 #include "telemetry/telemetry_server.h"
 #include "tests/sched_test_util.h"
+#include "util/json.h"
 #include "util/metrics.h"
-#include "util/trace_event.h"
 
 namespace ftms {
 namespace {
@@ -24,10 +26,10 @@ constexpr int kFailedDisk = 1;  // cluster 0 with 10 disks, C = 5
 // Runs the canonical scenario: warm-up, disk failure, degraded service,
 // rebuild to completion, cooldown. Returns the rig for extra checks.
 SchedRig RunFailureRebuildScenario(Scheme scheme, MetricsRegistry* registry,
-                                   Tracer* tracer) {
+                                   EventJournal* journal) {
   RigOptions options;
   options.metrics = registry;
-  options.tracer = tracer;
+  options.journal = journal;
   // 50-track disks so the idle-slot rebuild finishes quickly even for the
   // short-cycle schemes (SG/NC have ~12 rebuild slots per cycle).
   options.disk_capacity_mb = 2.5;
@@ -57,8 +59,8 @@ class ObservabilityTest : public ::testing::TestWithParam<Scheme> {};
 TEST_P(ObservabilityTest, FailureRebuildRunIsFullyInstrumented) {
   const Scheme scheme = GetParam();
   MetricsRegistry registry;
-  Tracer tracer(4096);
-  SchedRig rig = RunFailureRebuildScenario(scheme, &registry, &tracer);
+  EventJournal journal(0);
+  SchedRig rig = RunFailureRebuildScenario(scheme, &registry, &journal);
   const std::string abbrev(SchemeAbbrev(scheme));
 
   // Per-disk utilization series covers EVERY disk of the farm, and the
@@ -115,32 +117,46 @@ TEST_P(ObservabilityTest, FailureRebuildRunIsFullyInstrumented) {
   ASSERT_NE(progress, nullptr);
   EXPECT_DOUBLE_EQ(progress->value(), 1.0);
 
-  // The timeline: cycle spans, the failure instant, the rebuild span.
-  const auto events = tracer.Snapshot();
-  ASSERT_FALSE(events.empty());
-  int cycle_spans = 0;
-  bool saw_failure = false, saw_rebuild_span = false, saw_transition = false;
-  for (const auto& e : events) {
-    const std::string name(e.name);
-    if (name == "cycle" && e.phase == 'X') ++cycle_spans;
-    if (name == "disk_failed" && e.phase == 'i') saw_failure = true;
-    if (name == "degraded_transition") saw_transition = true;
-    if (name == "rebuild" && e.phase == 'X') saw_rebuild_span = true;
+  // The timeline rendered from the journal: the failure instant, the
+  // degraded-transition instants, one rebuild span, all on one track.
+  const std::string path = ::testing::TempDir() + "/observability_" +
+                           abbrev + ".jsonl";
+  ASSERT_TRUE(journal.WriteJsonl(path).ok());
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string json = RenderRunReportChrome(*report);
+  const auto doc = JsonValue::Parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<std::string, int> instants;
+  int rebuild_spans = 0, track_names = 0;
+  std::map<int64_t, std::vector<std::pair<int64_t, int64_t>>> spans;
+  for (const JsonValue& e : events->items()) {
+    const std::string ph = e.Find("ph")->AsString();
+    const std::string name = e.Find("name")->AsString();
+    if (ph == "M") {
+      ++track_names;
+      EXPECT_EQ(e.Find("args")->Find("name")->AsString(), abbrev + " #0");
+    } else if (ph == "i") {
+      ++instants[name];
+    } else {
+      ASSERT_EQ(ph, "X");
+      if (name == "rebuild") ++rebuild_spans;
+      const int64_t ts = e.Find("ts")->AsInt();
+      spans[e.Find("tid")->AsInt()].emplace_back(
+          ts, ts + e.Find("dur")->AsInt());
+    }
   }
-  EXPECT_EQ(cycle_spans, rig.sched->cycle());
-  EXPECT_TRUE(saw_failure);
-  EXPECT_TRUE(saw_transition);
-  EXPECT_TRUE(saw_rebuild_span);
+  EXPECT_EQ(track_names, 1);
+  EXPECT_EQ(instants["disk_failed"], 1);
+  EXPECT_EQ(instants["degraded_transition_start"], 1);
+  EXPECT_EQ(instants["degraded_transition_end"], 1);
+  EXPECT_EQ(instants["rebuild_start"], 0);  // paired into the span
+  EXPECT_EQ(rebuild_spans, 1);
 
   // Monotone span nesting per track: sorted by start, every span either
   // starts at-or-after the previous span's end or nests inside it.
-  std::map<int32_t, std::vector<std::pair<int64_t, int64_t>>> spans;
-  for (const auto& e : events) {
-    if (e.phase == 'X') {
-      spans[e.tid].emplace_back(e.ts_us, e.ts_us + e.dur_us);
-    }
-  }
-  EXPECT_GE(spans.size(), 2u);  // scheduler track + rebuild track
   for (auto& [tid, list] : spans) {
     std::sort(list.begin(), list.end());
     std::vector<int64_t> open;  // stack of enclosing span ends
@@ -151,15 +167,6 @@ TEST_P(ObservabilityTest, FailureRebuildRunIsFullyInstrumented) {
       open.push_back(end);
     }
   }
-
-  // The Chrome export is non-trivial and structurally sound.
-  const std::string json = tracer.ToChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"disk_failed\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ObservabilityTest,
@@ -258,15 +265,14 @@ TEST(ObservabilityOffTest, UninstrumentedSchedulerTouchesNoGlobalState) {
   // With no config override and the global sinks disabled, a full run
   // registers nothing anywhere.
   ASSERT_EQ(MetricsRegistry::GlobalIfEnabled(), nullptr);
-  ASSERT_EQ(Tracer::GlobalIfEnabled(), nullptr);
+  ASSERT_EQ(EventJournal::GlobalIfEnabled(), nullptr);
   const size_t global_before = MetricsRegistry::Global().size();
   SchedRig rig = MakeRig(Scheme::kStreamingRaid, 5, 10);
   rig.sched->AddStream(TestObject(0, 16)).value();
   for (int i = 0; i < 4; ++i) rig.sched->RunCycle();
   EXPECT_EQ(MetricsRegistry::Global().size(), global_before);
   EXPECT_EQ(rig.sched->metrics_registry(), nullptr);
-  EXPECT_EQ(rig.sched->tracer(), nullptr);
-  EXPECT_EQ(rig.sched->trace_tid(), -1);
+  EXPECT_EQ(rig.sched->journal(), nullptr);
 }
 
 }  // namespace

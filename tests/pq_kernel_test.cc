@@ -247,6 +247,47 @@ TEST(PqCodecTest, ReconstructsEveryErasurePairUnderEveryKernel) {
   PinPqKernel(nullptr);
 }
 
+// The widest group the code supports, k = 255: every erasure pair of its
+// 257 units, byte for byte, under the dispatched kernel.
+TEST(PqCodecTest, ReconstructsEveryErasurePairAtTheWidestGroup) {
+  constexpr int k = kMaxPqDataBlocks;
+  Rng rng(0x255u);
+  const std::vector<Block> original = RandomGroup(k, 8, &rng);
+  Block p0, q0;
+  ASSERT_TRUE(ComputePq(original, &p0, &q0).ok());
+  std::vector<Block> data = original;
+  Block p = p0, q = q0;
+  const auto unit = [&](int u) -> Block& {
+    return u < k ? data[static_cast<size_t>(u)] : (u == k ? p : q);
+  };
+  const auto want = [&](int u) -> const Block& {
+    return u < k ? original[static_cast<size_t>(u)] : (u == k ? p0 : q0);
+  };
+  for (int u = 0; u < k + 2; ++u) {
+    for (int v = u + 1; v < k + 2; ++v) {
+      std::fill(unit(u).begin(), unit(u).end(), 0xEE);
+      std::fill(unit(v).begin(), unit(v).end(), 0xEE);
+      const int missing[] = {u, v};
+      ASSERT_TRUE(ReconstructPq(data, &p, &q, missing).ok()) << u << "," << v;
+      ASSERT_EQ(unit(u), want(u)) << "pair " << u << "," << v;
+      ASSERT_EQ(unit(v), want(v)) << "pair " << u << "," << v;
+    }
+  }
+  EXPECT_EQ(data, original);
+}
+
+TEST(PqCodecTest, RejectsGroupsBeyond255DataBlocks) {
+  // g^255 = g^0, so with 256 data blocks units 0 and 255 share a Q
+  // weight and a {0, 255} erasure has no unique solution.
+  Rng rng(256);
+  std::vector<Block> data = RandomGroup(kMaxPqDataBlocks + 1, 8, &rng);
+  Block p(8), q(8);
+  EXPECT_EQ(ComputePq(data, &p, &q).code(), StatusCode::kInvalidArgument);
+  const int missing[] = {0, kMaxPqDataBlocks};
+  EXPECT_EQ(ReconstructPq(data, &p, &q, missing).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PqCodecTest, RejectsBadErasureSets) {
   Rng rng(99);
   std::vector<Block> data = RandomGroup(3, 64, &rng);

@@ -158,6 +158,73 @@ TEST(RunReportTest, GoldenMarkdownForDualFailureDrill) {
   EXPECT_EQ(RenderRunReportMarkdown(*report), expected);
 }
 
+// The Chrome timeline of the dual-failure drill: one track, the failure
+// and transition instants, and each rebuild_start -> rebuild_done pair as
+// one "rebuild" span. Byte-exact, like the markdown goldens.
+TEST(RunReportTest, GoldenChromeForDualFailureDrill) {
+  const std::string path =
+      WriteTempFile("golden_sr2_chrome.jsonl", kDualFailureJournal);
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->events.size(), 18u);
+  EXPECT_EQ(report->events[0].disk, 0);
+  EXPECT_EQ(report->events[1].disk, -1);
+  EXPECT_EQ(report->events[1].cluster, 0);
+
+  const std::string expected = R"({
+"displayTimeUnit": "ms",
+"otherData": {"clock": "sim_us"},
+"traceEvents": [
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "SR2 #0"}},
+{"name": "disk_failed", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 3200000, "args": {"disk": 0, "cluster": 0, "value": 1}},
+{"name": "degraded_transition_start", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 3200000, "args": {"disk": -1, "cluster": 0, "value": 4}},
+{"name": "disk_failed", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 3466666, "args": {"disk": 1, "cluster": 0, "value": 1}},
+{"name": "degraded_transition_start", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 3466666, "args": {"disk": -1, "cluster": 0, "value": 4}},
+{"name": "degraded_transition_end", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 4533333, "args": {"disk": -1, "cluster": 0, "value": 0}},
+{"name": "degraded_transition_end", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 4800000, "args": {"disk": -1, "cluster": 0, "value": 0}},
+{"name": "rebuild", "cat": "rebuild", "ph": "X", "pid": 1, "tid": 0, "ts": 4800000, "dur": 1333333, "args": {"disk": 0, "cluster": 0, "tracks_total": 50, "cycles": 5}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 5333333, "args": {"disk": 0, "cluster": 0, "value": 48}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 5600000, "args": {"disk": 0, "cluster": 0, "value": 72}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 5866666, "args": {"disk": 0, "cluster": 0, "value": 96}},
+{"name": "disk_repaired", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 6133333, "args": {"disk": 0, "cluster": 0, "value": 0}},
+{"name": "rebuild", "cat": "rebuild", "ph": "X", "pid": 1, "tid": 0, "ts": 6133333, "dur": 1333333, "args": {"disk": 1, "cluster": 0, "tracks_total": 50, "cycles": 5}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 6666666, "args": {"disk": 1, "cluster": 0, "value": 48}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 6933333, "args": {"disk": 1, "cluster": 0, "value": 72}},
+{"name": "rebuild_progress", "cat": "rebuild", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 7200000, "args": {"disk": 1, "cluster": 0, "value": 96}},
+{"name": "disk_repaired", "cat": "failure", "ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 7466666, "args": {"disk": 1, "cluster": 0, "value": 0}}
+]
+}
+)";
+  EXPECT_EQ(RenderRunReportChrome(*report), expected);
+}
+
+// A second rig reusing the journal restarts the scheme's cycle counter:
+// its events land on a new track, and an unfinished rebuild stays an
+// instant.
+TEST(RunReportTest, ChromeStartsATrackPerSchemeRun) {
+  const std::string path = WriteTempFile(
+      "chrome_runs.jsonl",
+      std::string(kDrillJournal) +
+          R"({"kind":"rebuild_start","scheme":"SR","sim_us":800000,"cycle":1,"disk":3,"cluster":0,"stream":-1,"value":50}
+{"kind":"hiccups","scheme":"NC","sim_us":400000,"cycle":1,"disk":-1,"cluster":-1,"stream":-1,"value":2}
+)");
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string json = RenderRunReportChrome(*report);
+  EXPECT_NE(json.find(R"("args": {"name": "SR #0"})"), std::string::npos);
+  EXPECT_NE(json.find(R"("args": {"name": "SR #1"})"), std::string::npos);
+  EXPECT_NE(json.find(R"("args": {"name": "NC #0"})"), std::string::npos);
+  // The first run's rebuild is a span; the second run's stays an instant.
+  EXPECT_NE(json.find(R"("ph": "X", "pid": 1, "tid": 0, "ts": 10400000, )"
+                      R"("dur": 1600000)"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"({"name": "rebuild_start", "cat": "rebuild", )"
+                      R"("ph": "i", "s": "t", "pid": 1, "tid": 1, )"
+                      R"("ts": 800000)"),
+            std::string::npos);
+  EXPECT_EQ(json.find("rebuild_done"), std::string::npos);
+}
+
 TEST(RunReportTest, JsonRenderIsStructured) {
   const std::string path = WriteTempFile("json.jsonl", kDrillJournal);
   const auto report = LoadRunReport(path, "", "");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/units.h"
 
@@ -36,6 +37,19 @@ TEST(ServerTest, CreateValidatesConfig) {
   config = SmallConfig(Scheme::kStreamingRaid);
   config.params.num_disks = 11;  // not a multiple of C
   EXPECT_FALSE(MultimediaServer::Create(config).ok());
+}
+
+TEST(ServerTest, MalformedTelemetryPortStartsNoServer) {
+  // Not a port number: telemetry stays off instead of binding an
+  // ephemeral port ("abc" read as 0) or a truncated one (70000 as 4464).
+  for (const char* bad : {"abc", "70000", "-5"}) {
+    setenv("FTMS_TELEMETRY_PORT", bad, 1);
+    auto server =
+        MultimediaServer::Create(SmallConfig(Scheme::kStreamingRaid));
+    ASSERT_TRUE(server.ok()) << bad;
+    EXPECT_EQ((*server)->telemetry_server(), nullptr) << bad;
+  }
+  unsetenv("FTMS_TELEMETRY_PORT");
 }
 
 TEST(ServerTest, EndToEndPlayback) {

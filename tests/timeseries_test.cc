@@ -140,5 +140,40 @@ TEST(TimeSeriesTest, SchedulerDrillDumpCarriesCycleCurves) {
   EXPECT_NE(json.find("buffer_in_use"), std::string::npos);
 }
 
+// Per-cycle state of a scheduler run: pull-model series over the
+// scheduler's own registry cells record each cycle's totals, so consecutive
+// points give the cycle's deltas and the gauges track failures.
+TEST(TimeSeriesTest, RegistrySeriesRecordEachCycle) {
+  MetricsRegistry registry;
+  TimeSeriesRecorder rec(64);
+  RigOptions options;
+  options.metrics = &registry;
+  options.timeseries = &rec;
+  SchedRig rig = MakeRig(Scheme::kStreamingRaid, 5, 10, options);
+  rec.AddCounterSeries("delivered",
+                       registry.FindCounter(LabeledName(
+                           "ftms_sched_tracks_delivered_total",
+                           {{"scheme", "SR"}})));
+  rec.AddGaugeSeries("failed_disks",
+                     registry.FindGauge(LabeledName("ftms_sched_failed_disks",
+                                                    {{"scheme", "SR"}})));
+  rig.sched->AddStream(TestObject(0, 64)).value();
+  rig.sched->RunCycles(6);
+  rig.sched->OnDiskFailed(1, false);
+  rig.sched->RunCycle();
+
+  const auto delivered = rec.SeriesPoints("delivered");
+  ASSERT_EQ(delivered.size(), 7u);
+  // First cycle: read only; deliveries start in cycle 2.
+  EXPECT_EQ(delivered[0].v, 0);
+  EXPECT_EQ(delivered[1].v - delivered[0].v, 4);
+  EXPECT_EQ(delivered.back().v,
+            static_cast<double>(rig.sched->metrics().tracks_delivered));
+  const auto failed = rec.SeriesPoints("failed_disks");
+  ASSERT_EQ(failed.size(), 7u);
+  EXPECT_EQ(failed[5].v, 0);
+  EXPECT_EQ(failed[6].v, 1);
+}
+
 }  // namespace
 }  // namespace ftms

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <thread>
 #include <mutex>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "util/disk_set.h"
+#include "util/env.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -76,6 +79,38 @@ TEST(LogTest, IncludesSourceLocation) {
   const std::string output = testing::internal::GetCapturedStderr();
   EXPECT_NE(output.find("util_misc_test.cc"), std::string::npos);
   SetLogLevel(LogLevel::kWarning);
+}
+
+TEST(EnvIntTest, AcceptsOnlyWholeDecimalsInRange) {
+  constexpr const char* kKnob = "FTMS_ENV_INT_TEST_KNOB";
+  unsetenv(kKnob);
+  EXPECT_EQ(EnvInt(kKnob, 7, 0, 100), 7);
+  const auto read = [&](const char* text) {
+    setenv(kKnob, text, 1);
+    return EnvInt(kKnob, 7, 0, 100);
+  };
+  EXPECT_EQ(read("42"), 42);
+  EXPECT_EQ(read("0"), 0);
+  EXPECT_EQ(read("100"), 100);
+  for (const char* bad : {"", "abc", "12ms", " 5", "5 ", "+5", "-5", "101",
+                          "0x10", "99999999999999999999"}) {
+    EXPECT_EQ(read(bad), 7) << '"' << bad << '"';
+  }
+  setenv(kKnob, "-5", 1);
+  EXPECT_EQ(EnvInt(kKnob, 7, -10, 10), -5);
+  unsetenv(kKnob);
+}
+
+TEST(EnvIntTest, MalformedThreadCountFallsBackToHardware) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
+  for (const char* bad : {"abc", "0", "-3", "4x", "100000"}) {
+    setenv("FTMS_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::DefaultThreadCount(), fallback) << bad;
+  }
+  setenv("FTMS_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), 3);
+  unsetenv("FTMS_THREADS");
 }
 
 TEST(DiskSetTest, AddRemoveContains) {

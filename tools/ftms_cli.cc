@@ -22,8 +22,9 @@
 //   ftms report <journal.jsonl>          unified run report from a
 //        [--metrics BENCH.json]          recorded journal plus optional
 //        [--timeseries ts.json]          bench/profile and time-series
-//        [--md|--json]                   artifacts; exits 1 on malformed
-//                                        inputs.
+//        [--md|--json|--chrome]          artifacts (--chrome: the journal
+//                                        as a Chrome trace timeline);
+//                                        exits 1 on malformed inputs.
 //   ftms top <url> [--once] [--json]     live ANSI dashboard over a
 //        [--interval-ms N] [--frames N]  running drill's telemetry
 //                                        endpoint (FTMS_TELEMETRY_PORT);
@@ -56,6 +57,7 @@
 #include "reliability/markov_sim.h"
 #include "server/server.h"
 #include "telemetry/top.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
@@ -76,7 +78,7 @@ int Usage() {
       "  ftms qos <sr|sg|nc|ib|sr2|nc2> [C] [D] [--json] "
       "[--journal-out FILE]\n"
       "  ftms report <journal.jsonl> [--metrics BENCH.json] "
-      "[--timeseries ts.json] [--md|--json]\n"
+      "[--timeseries ts.json] [--md|--json|--chrome]\n"
       "  ftms top <url> [--once] [--json] [--interval-ms N] "
       "[--frames N]\n");
   return 2;
@@ -281,8 +283,8 @@ int CmdQos(int argc, char** argv) {
     }
   }
   // FTMS_TELEMETRY_CYCLE_DELAY_MS slows the drill to human/scraper speed.
-  const char* delay_env = std::getenv("FTMS_TELEMETRY_CYCLE_DELAY_MS");
-  const int cycle_delay_ms = delay_env != nullptr ? std::atoi(delay_env) : 0;
+  const int64_t cycle_delay_ms =
+      EnvInt("FTMS_TELEMETRY_CYCLE_DELAY_MS", 0, 0, INT32_MAX);
   const auto run_cycles = [&](int n) {
     for (int i = 0; i < n; ++i) {
       server->RunCycles(1);
@@ -436,11 +438,8 @@ int CmdQos(int argc, char** argv) {
   // FTMS_TELEMETRY_LINGER_MS keeps the exporter serving the final
   // snapshot after the drill, so scripts can scrape the settled state.
   if (server->telemetry_server() != nullptr) {
-    if (const char* linger = std::getenv("FTMS_TELEMETRY_LINGER_MS");
-        linger != nullptr && std::atoi(linger) > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::atoi(linger)));
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        EnvInt("FTMS_TELEMETRY_LINGER_MS", 0, 0, INT32_MAX)));
   }
   if (!ConformanceWatchdog::AllOk(findings)) {
     std::fprintf(stderr, "conformance: VIOLATION of a paper bound\n");
@@ -485,16 +484,18 @@ int CmdReport(int argc, char** argv) {
   const std::string journal_path = argv[2];
   std::string metrics_path;
   std::string timeseries_path;
-  bool as_json = false;
+  std::string (*render)(const RunReport&) = RenderRunReportMarkdown;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--timeseries") == 0 && i + 1 < argc) {
       timeseries_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0) {
-      as_json = true;
+      render = RenderRunReportJson;
     } else if (std::strcmp(argv[i], "--md") == 0) {
-      as_json = false;
+      render = RenderRunReportMarkdown;
+    } else if (std::strcmp(argv[i], "--chrome") == 0) {
+      render = RenderRunReportChrome;
     } else {
       return Usage();
     }
@@ -505,9 +506,7 @@ int CmdReport(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
     return 1;
   }
-  const std::string out = as_json ? RenderRunReportJson(*report)
-                                  : RenderRunReportMarkdown(*report);
-  std::fputs(out.c_str(), stdout);
+  std::fputs(render(*report).c_str(), stdout);
   return 0;
 }
 
