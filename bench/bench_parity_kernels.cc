@@ -62,11 +62,6 @@ int main() {
       "size (50 KB blocks)");
 
   std::printf("dispatched kernel: %s\n", ActiveXorKernelName());
-  for (const XorKernelMeasurement& m : XorKernelSelectionReport()) {
-    std::printf("  %-8s %-11s %8.1f GB/s%s\n", m.name,
-                m.supported ? "runnable" : "unsupported", m.gb_per_s,
-                m.selected ? "  <- selected" : "");
-  }
 
   bench::Reporter report("parity_kernels");
 
@@ -153,11 +148,6 @@ int main() {
       "P+Q syndrome kernels: fused GF(2^8) throughput by kernel and "
       "group size");
   std::printf("dispatched pq kernel: %s\n", ActivePqKernelName());
-  for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
-    std::printf("  %-8s %-11s %8.1f GB/s%s\n", m.name,
-                m.supported ? "runnable" : "unsupported", m.gb_per_s,
-                m.selected ? "  <- selected" : "");
-  }
 
   std::vector<uint8_t> p(kBlockBytes);
   std::vector<uint8_t> q(kBlockBytes);
@@ -249,19 +239,6 @@ int main() {
                      std::to_string(nsrc) + "_gbps",
                  gbps);
     }
-  }
-
-  // The dispatchers' own startup measurements, for the perf trajectory.
-  for (const XorKernelMeasurement& m : XorKernelSelectionReport()) {
-    if (!m.supported) continue;
-    report.Set(std::string("dispatch_") + m.name + "_gbps", m.gb_per_s);
-    if (m.selected) report.Set("dispatch_selected_gbps", m.gb_per_s);
-  }
-  for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
-    if (!m.supported) continue;
-    report.Set(std::string("pq_dispatch_") + m.name + "_gbps",
-               m.gb_per_s);
-    if (m.selected) report.Set("pq_dispatch_selected_gbps", m.gb_per_s);
   }
 
   report.WriteJson();

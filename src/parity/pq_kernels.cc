@@ -1,7 +1,6 @@
 #include "parity/pq_kernels.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -15,115 +14,41 @@
 namespace ftms {
 namespace {
 
-// Selection micro-benchmark shape: a syndrome-sized fold (5 sources,
-// 32 KB — comfortably L1/L2 resident so it measures the kernel, not the
-// memory system of whatever else is running). Best-of-kPasses guards
-// against scheduler noise, same as the XOR dispatcher.
-constexpr size_t kBenchBytes = 32 * 1024;
-constexpr int kBenchSources = 5;
-constexpr int kBenchReps = 24;
-constexpr int kBenchPasses = 3;
-
-double MeasureGbPerS(const PqKernel& kernel) {
-  static std::vector<uint8_t>* buffers = [] {
-    auto* bufs = new std::vector<uint8_t>[kBenchSources + 2];
-    for (int i = 0; i < kBenchSources + 2; ++i) {
-      bufs[i].assign(kBenchBytes, static_cast<uint8_t>(0x5d * (i + 1)));
-    }
-    return bufs;
-  }();
-  uint8_t* p = buffers[kBenchSources].data();
-  uint8_t* q = buffers[kBenchSources + 1].data();
-  const uint8_t* srcs[kBenchSources];
-  uint8_t coeffs[kBenchSources];
-  for (int i = 0; i < kBenchSources; ++i) {
-    srcs[i] = buffers[i].data();
-    coeffs[i] = gf256::Exp(i);
-  }
-
-  kernel.pq(p, q, srcs, coeffs, kBenchSources, kBenchBytes);  // warm up
-  double best_seconds = 1e30;
-  for (int pass = 0; pass < kBenchPasses; ++pass) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kBenchReps; ++rep) {
-      kernel.pq(p, q, srcs, coeffs, kBenchSources, kBenchBytes);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    if (seconds < best_seconds) best_seconds = seconds;
-  }
-  if (best_seconds <= 0) return 0;
-  // Memory traffic per call: nsrc source reads + p read/write + q
-  // read/write.
-  const double bytes_moved = static_cast<double>(kBenchReps) *
-                             static_cast<double>(kBenchSources + 4) *
-                             static_cast<double>(kBenchBytes);
-  return bytes_moved / best_seconds / 1e9;
-}
-
-struct Selection {
-  const PqKernel* active = nullptr;
-  std::vector<PqKernelMeasurement> report;
-};
-
-void ExportSelection(const Selection& selection, MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  for (const PqKernelMeasurement& m : selection.report) {
-    Gauge* gbps = registry->GetGauge(
-        LabeledName("ftms_parity_pq_kernel_gb_per_s", {{"kernel", m.name}}),
-        "Measured GF(2^8) P+Q kernel throughput at selection time");
-    if (gbps != nullptr) gbps->Set(m.gb_per_s);
-    Gauge* active = registry->GetGauge(
-        LabeledName("ftms_parity_pq_kernel_active", {{"kernel", m.name}}),
-        "1 for the P+Q kernel the selector chose, 0 for the others");
-    if (active != nullptr) active->Set(m.selected ? 1.0 : 0.0);
-  }
-}
-
-const Selection& GetSelection() {
-  static const Selection selection = [] {
-    Selection sel;
-    const PqKernel* best = internal::GetPqKernelScalar();
-    double best_gbps = 0;
-    for (const PqKernel& kernel : CompiledPqKernels()) {
-      PqKernelMeasurement m;
-      m.name = kernel.name;
-      m.supported = kernel.supported();
-      m.gb_per_s = m.supported ? MeasureGbPerS(kernel) : 0.0;
-      if (m.supported && m.gb_per_s > best_gbps) {
-        best = &kernel;
-        best_gbps = m.gb_per_s;
-      }
-      sel.report.push_back(m);
-    }
-    bool pinned = false;
+// The FTMS_PQ_KERNEL pin when it names a runnable kernel, otherwise the
+// widest supported one: compiled kernels are listed narrowest first and
+// none is slower than the ones before it (bench_parity_kernels), so the
+// last supported entry wins (scalar, first, always is).
+const PqKernel& SelectedKernel() {
+  static const PqKernel* const selected = [] {
+    const PqKernel* kernel = nullptr;
     if (const char* env = std::getenv("FTMS_PQ_KERNEL")) {
       StatusOr<const PqKernel*> pin = ParsePqKernelSpec(env);
       if (!pin.ok()) {
         FTMS_LOG(Warning) << "FTMS_PQ_KERNEL: " << pin.status().ToString()
                           << "; auto-selecting";
       } else if (*pin != nullptr) {
-        best = *pin;
-        pinned = true;
+        kernel = *pin;
+        FTMS_LOG(Info) << "pq kernel pinned via FTMS_PQ_KERNEL="
+                       << kernel->name;
       }
     }
-    sel.active = best;
-    for (PqKernelMeasurement& m : sel.report) {
-      m.selected = std::string_view(m.name) == best->name;
-      FTMS_LOG(Info) << "pq kernel " << m.name << ": "
-                     << (m.supported ? "" : "unsupported, ") << m.gb_per_s
-                     << " GB/s" << (m.selected ? "  <= selected" : "");
+    if (kernel == nullptr) {
+      for (const PqKernel& candidate : CompiledPqKernels()) {
+        if (candidate.supported()) kernel = &candidate;
+      }
     }
-    if (pinned) {
-      FTMS_LOG(Info) << "pq kernel pinned via FTMS_PQ_KERNEL="
-                     << best->name;
+    if (MetricsRegistry* registry = MetricsRegistry::GlobalIfEnabled()) {
+      for (const PqKernel& candidate : CompiledPqKernels()) {
+        Gauge* active = registry->GetGauge(
+            LabeledName("ftms_parity_pq_kernel_active",
+                        {{"kernel", candidate.name}}),
+            "1 for the P+Q kernel the selector chose, 0 for the others");
+        if (active != nullptr) active->Set(&candidate == kernel ? 1.0 : 0.0);
+      }
     }
-    ExportSelection(sel, MetricsRegistry::GlobalIfEnabled());
-    return sel;
+    return kernel;
   }();
-  return selection;
+  return *selected;
 }
 
 std::atomic<const PqKernel*> g_pinned{nullptr};
@@ -149,7 +74,7 @@ const PqKernel& ActivePqKernel() {
   if (const PqKernel* pinned = g_pinned.load(std::memory_order_acquire)) {
     return *pinned;
   }
-  return *GetSelection().active;
+  return SelectedKernel();
 }
 
 const char* ActivePqKernelName() { return ActivePqKernel().name; }
@@ -190,10 +115,6 @@ void GfMulXorInto(uint8_t* dst, const uint8_t* src, uint8_t c,
   ActivePqKernel().mul_xor(dst, src, c, bytes);
 }
 
-std::span<const PqKernelMeasurement> PqKernelSelectionReport() {
-  return GetSelection().report;
-}
-
 StatusOr<const PqKernel*> FindPqKernel(std::string_view name) {
   std::string valid;
   for (const PqKernel& kernel : CompiledPqKernels()) {
@@ -220,11 +141,6 @@ StatusOr<const PqKernel*> ParsePqKernelSpec(std::string_view spec) {
 
 void PinPqKernel(const PqKernel* kernel) {
   g_pinned.store(kernel, std::memory_order_release);
-}
-
-void ExportPqKernelMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  ExportSelection(GetSelection(), registry);
 }
 
 }  // namespace ftms

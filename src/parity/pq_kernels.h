@@ -10,8 +10,6 @@
 
 namespace ftms {
 
-class MetricsRegistry;
-
 // Vectorized GF(2^8) P+Q syndrome kernels with runtime dispatch.
 //
 // The dual-parity (RAID-6) schemes need, per group write and per
@@ -24,11 +22,11 @@ class MetricsRegistry;
 // the SIMD kernels (pshufb nibble tables, GFNI affine) run at memory
 // bandwidth.
 //
-// Dispatch mirrors parity/xor_kernels.h: the dispatcher
-// micro-benchmarks every kernel the binary was compiled with AND the
-// CPU can run, once at startup, and picks the fastest;
-// FTMS_PQ_KERNEL=<name> pins the choice instead (FTMS_PQ_KERNEL=scalar
-// is how CI proves all kernels agree byte for byte).
+// Dispatch mirrors parity/xor_kernels.h: the dispatcher picks the
+// widest kernel the binary was compiled with AND the CPU can run, from
+// CPU features alone; FTMS_PQ_KERNEL=<name> pins the choice instead
+// (FTMS_PQ_KERNEL=scalar is how CI proves all kernels agree byte for
+// byte).
 //
 // Determinism: GF(2^8) arithmetic is exact, so every kernel produces
 // byte-identical output — selection affects speed only, never results.
@@ -59,13 +57,15 @@ struct PqKernel {
                   size_t bytes);
 };
 
-// Every kernel compiled into this binary, scalar first. Entries are
-// stable for the process lifetime.
+// Every kernel compiled into this binary, narrowest (scalar) first.
+// Entries are stable for the process lifetime.
 std::span<const PqKernel> CompiledPqKernels();
 
 // The dispatched kernel: the FTMS_PQ_KERNEL pin if set and valid,
-// otherwise the micro-benchmark winner. Selection runs once on first
-// use and is thread-safe.
+// otherwise the last supported entry of CompiledPqKernels(). Selection
+// runs once on first use, is thread-safe, and publishes
+// ftms_parity_pq_kernel_active{kernel="..."} (1 for the dispatched
+// kernel, 0 for the others) to the global registry when it is enabled.
 const PqKernel& ActivePqKernel();
 const char* ActivePqKernelName();
 
@@ -87,19 +87,6 @@ void PqAccumulate(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
 void GfMulXorInto(uint8_t* dst, const uint8_t* src, uint8_t c,
                   size_t bytes);
 
-// One row of the startup selection report.
-struct PqKernelMeasurement {
-  const char* name = nullptr;
-  bool supported = false;   // CPU can run it
-  double gb_per_s = 0.0;    // 0 when unsupported; counts source reads +
-                            // p/q reads + p/q writes (memory traffic)
-  bool selected = false;
-};
-
-// The measurements the dispatcher took (one entry per compiled kernel,
-// in CompiledPqKernels() order). Triggers selection on first call.
-std::span<const PqKernelMeasurement> PqKernelSelectionReport();
-
 // Looks up a compiled kernel by name; InvalidArgument on unknown names
 // (the message lists the valid ones).
 StatusOr<const PqKernel*> FindPqKernel(std::string_view name);
@@ -111,16 +98,10 @@ StatusOr<const PqKernel*> FindPqKernel(std::string_view name);
 StatusOr<const PqKernel*> ParsePqKernelSpec(std::string_view spec);
 
 // Test hook: overrides the active kernel (nullptr returns to the
-// dispatcher's choice). Not for production use — the metrics exported
-// at selection time keep describing the dispatcher's pick.
+// dispatcher's choice). Not for production use — the
+// ftms_parity_pq_kernel_active gauges keep describing the dispatcher's
+// pick.
 void PinPqKernel(const PqKernel* kernel);
-
-// Publishes the selection as gauges in `registry` (no-op when null):
-//   ftms_parity_pq_kernel_gb_per_s{kernel="..."}  measured throughput
-//   ftms_parity_pq_kernel_active{kernel="..."}    1 for the dispatched
-// Called automatically against the global registry (when enabled) at
-// selection time; benches with private registries call it directly.
-void ExportPqKernelMetrics(MetricsRegistry* registry);
 
 }  // namespace ftms
 

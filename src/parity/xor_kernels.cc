@@ -1,7 +1,6 @@
 #include "parity/xor_kernels.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -14,110 +13,41 @@
 namespace ftms {
 namespace {
 
-// Selection micro-benchmark shape: a reconstruct-sized fold (5 sources,
-// 32 KB — comfortably L1/L2 resident so it measures the kernel, not the
-// memory system of whatever else is running). Best-of-kPasses guards
-// against scheduler noise, the same trick Linux's calibrate_xor_blocks
-// uses.
-constexpr size_t kBenchBytes = 32 * 1024;
-constexpr int kBenchSources = 5;
-constexpr int kBenchReps = 24;
-constexpr int kBenchPasses = 3;
-
-double MeasureGbPerS(const XorKernel& kernel) {
-  static std::vector<uint8_t>* buffers = [] {
-    auto* bufs = new std::vector<uint8_t>[kBenchSources + 1];
-    for (int i = 0; i <= kBenchSources; ++i) {
-      bufs[i].assign(kBenchBytes, static_cast<uint8_t>(0x3b * (i + 1)));
-    }
-    return bufs;
-  }();
-  uint8_t* dst = buffers[kBenchSources].data();
-  const uint8_t* srcs[kBenchSources];
-  for (int i = 0; i < kBenchSources; ++i) srcs[i] = buffers[i].data();
-
-  kernel.xor_n(dst, srcs, kBenchSources, kBenchBytes);  // warm up
-  double best_seconds = 1e30;
-  for (int pass = 0; pass < kBenchPasses; ++pass) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kBenchReps; ++rep) {
-      kernel.xor_n(dst, srcs, kBenchSources, kBenchBytes);
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    if (seconds < best_seconds) best_seconds = seconds;
-  }
-  if (best_seconds <= 0) return 0;
-  // Memory traffic per call: nsrc source reads + dst read + dst write.
-  const double bytes_moved = static_cast<double>(kBenchReps) *
-                             static_cast<double>(kBenchSources + 2) *
-                             static_cast<double>(kBenchBytes);
-  return bytes_moved / best_seconds / 1e9;
-}
-
-struct Selection {
-  const XorKernel* active = nullptr;
-  std::vector<XorKernelMeasurement> report;
-};
-
-void ExportSelection(const Selection& selection, MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  for (const XorKernelMeasurement& m : selection.report) {
-    Gauge* gbps = registry->GetGauge(
-        LabeledName("ftms_parity_kernel_gb_per_s", {{"kernel", m.name}}),
-        "Measured XOR kernel throughput at selection time");
-    if (gbps != nullptr) gbps->Set(m.gb_per_s);
-    Gauge* active = registry->GetGauge(
-        LabeledName("ftms_parity_kernel_active", {{"kernel", m.name}}),
-        "1 for the XOR kernel the selector chose, 0 for the others");
-    if (active != nullptr) active->Set(m.selected ? 1.0 : 0.0);
-  }
-}
-
-const Selection& GetSelection() {
-  static const Selection selection = [] {
-    Selection sel;
-    const XorKernel* best = internal::GetXorKernelScalar();
-    double best_gbps = 0;
-    for (const XorKernel& kernel : CompiledXorKernels()) {
-      XorKernelMeasurement m;
-      m.name = kernel.name;
-      m.supported = kernel.supported();
-      m.gb_per_s = m.supported ? MeasureGbPerS(kernel) : 0.0;
-      if (m.supported && m.gb_per_s > best_gbps) {
-        best = &kernel;
-        best_gbps = m.gb_per_s;
-      }
-      sel.report.push_back(m);
-    }
-    bool pinned = false;
+// The FTMS_XOR_KERNEL pin when it names a runnable kernel, otherwise the
+// widest supported one: compiled kernels are listed narrowest first and
+// none is slower than the ones before it (bench_parity_kernels), so the
+// last supported entry wins (scalar, first, always is).
+const XorKernel& SelectedKernel() {
+  static const XorKernel* const selected = [] {
+    const XorKernel* kernel = nullptr;
     if (const char* env = std::getenv("FTMS_XOR_KERNEL")) {
       StatusOr<const XorKernel*> pin = ParseXorKernelSpec(env);
       if (!pin.ok()) {
         FTMS_LOG(Warning) << "FTMS_XOR_KERNEL: " << pin.status().ToString()
                           << "; auto-selecting";
       } else if (*pin != nullptr) {
-        best = *pin;
-        pinned = true;
+        kernel = *pin;
+        FTMS_LOG(Info) << "xor kernel pinned via FTMS_XOR_KERNEL="
+                       << kernel->name;
       }
     }
-    sel.active = best;
-    for (XorKernelMeasurement& m : sel.report) {
-      m.selected = std::string_view(m.name) == best->name;
-      FTMS_LOG(Info) << "xor kernel " << m.name << ": "
-                     << (m.supported ? "" : "unsupported, ") << m.gb_per_s
-                     << " GB/s" << (m.selected ? "  <= selected" : "");
+    if (kernel == nullptr) {
+      for (const XorKernel& candidate : CompiledXorKernels()) {
+        if (candidate.supported()) kernel = &candidate;
+      }
     }
-    if (pinned) {
-      FTMS_LOG(Info) << "xor kernel pinned via FTMS_XOR_KERNEL="
-                     << best->name;
+    if (MetricsRegistry* registry = MetricsRegistry::GlobalIfEnabled()) {
+      for (const XorKernel& candidate : CompiledXorKernels()) {
+        Gauge* active = registry->GetGauge(
+            LabeledName("ftms_parity_kernel_active",
+                        {{"kernel", candidate.name}}),
+            "1 for the XOR kernel the selector chose, 0 for the others");
+        if (active != nullptr) active->Set(&candidate == kernel ? 1.0 : 0.0);
+      }
     }
-    ExportSelection(sel, MetricsRegistry::GlobalIfEnabled());
-    return sel;
+    return kernel;
   }();
-  return selection;
+  return *selected;
 }
 
 std::atomic<const XorKernel*> g_pinned{nullptr};
@@ -142,7 +72,7 @@ const XorKernel& ActiveXorKernel() {
   if (const XorKernel* pinned = g_pinned.load(std::memory_order_acquire)) {
     return *pinned;
   }
-  return *GetSelection().active;
+  return SelectedKernel();
 }
 
 const char* ActiveXorKernelName() { return ActiveXorKernel().name; }
@@ -157,10 +87,6 @@ void XorIntoN(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
     nsrc -= kMaxXorSources;
   }
   if (nsrc > 0) kernel.xor_n(dst, srcs, nsrc, bytes);
-}
-
-std::span<const XorKernelMeasurement> XorKernelSelectionReport() {
-  return GetSelection().report;
 }
 
 StatusOr<const XorKernel*> FindXorKernel(std::string_view name) {
@@ -189,11 +115,6 @@ StatusOr<const XorKernel*> ParseXorKernelSpec(std::string_view spec) {
 
 void PinXorKernel(const XorKernel* kernel) {
   g_pinned.store(kernel, std::memory_order_release);
-}
-
-void ExportXorKernelMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  ExportSelection(GetSelection(), registry);
 }
 
 }  // namespace ftms

@@ -10,19 +10,16 @@
 
 namespace ftms {
 
-class MetricsRegistry;
-
 // Vectorized multi-source XOR kernels with runtime dispatch.
 //
 // Every degraded read, rebuild pass, scrub and parity verify bottoms out
 // in "dst ^= s0 ^ s1 ^ ... ^ s(n-1)". Doing that pairwise makes n full
 // passes over dst; a multi-source kernel makes ONE pass, keeping the
-// destination in registers while it streams the sources. Like Linux's
-// xor_blocks, the dispatcher micro-benchmarks every kernel the binary
-// was compiled with AND the CPU can run, once at startup, and picks the
-// fastest; FTMS_XOR_KERNEL=<name> pins the choice instead (and
-// FTMS_XOR_KERNEL=scalar is how CI proves all kernels agree byte for
-// byte).
+// destination in registers while it streams the sources. The dispatcher
+// picks the widest kernel the binary was compiled with AND the CPU can
+// run, from CPU features alone; FTMS_XOR_KERNEL=<name> pins the choice
+// instead (and FTMS_XOR_KERNEL=scalar is how CI proves all kernels agree
+// byte for byte).
 //
 // Determinism: XOR is exact, so every kernel produces byte-identical
 // output — selection affects speed only, never results.
@@ -46,13 +43,15 @@ struct XorKernel {
                 size_t bytes);
 };
 
-// Every kernel compiled into this binary, scalar first. Entries are
-// stable for the process lifetime.
+// Every kernel compiled into this binary, narrowest (scalar) first.
+// Entries are stable for the process lifetime.
 std::span<const XorKernel> CompiledXorKernels();
 
 // The dispatched kernel: the FTMS_XOR_KERNEL pin if set and valid,
-// otherwise the micro-benchmark winner. Selection runs once on first
-// use and is thread-safe.
+// otherwise the last supported entry of CompiledXorKernels(). Selection
+// runs once on first use, is thread-safe, and publishes
+// ftms_parity_kernel_active{kernel="..."} (1 for the dispatched kernel,
+// 0 for the others) to the global registry when it is enabled.
 const XorKernel& ActiveXorKernel();
 const char* ActiveXorKernelName();
 
@@ -60,19 +59,6 @@ const char* ActiveXorKernelName();
 // through the active kernel. Any nsrc >= 0 (0 is a no-op).
 void XorIntoN(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
               size_t bytes);
-
-// One row of the startup selection report.
-struct XorKernelMeasurement {
-  const char* name = nullptr;
-  bool supported = false;   // CPU can run it
-  double gb_per_s = 0.0;    // 0 when unsupported; counts source reads +
-                            // dst read + dst write (memory traffic)
-  bool selected = false;
-};
-
-// The measurements the dispatcher took (one entry per compiled kernel,
-// in CompiledXorKernels() order). Triggers selection on first call.
-std::span<const XorKernelMeasurement> XorKernelSelectionReport();
 
 // Looks up a compiled kernel by name; InvalidArgument on unknown names
 // (the message lists the valid ones).
@@ -85,16 +71,9 @@ StatusOr<const XorKernel*> FindXorKernel(std::string_view name);
 StatusOr<const XorKernel*> ParseXorKernelSpec(std::string_view spec);
 
 // Test hook: overrides the active kernel (nullptr returns to the
-// dispatcher's choice). Not for production use — the metrics exported
-// at selection time keep describing the dispatcher's pick.
+// dispatcher's choice). Not for production use — the
+// ftms_parity_kernel_active gauges keep describing the dispatcher's pick.
 void PinXorKernel(const XorKernel* kernel);
-
-// Publishes the selection as gauges in `registry` (no-op when null):
-//   ftms_parity_kernel_gb_per_s{kernel="..."}  measured throughput
-//   ftms_parity_kernel_active{kernel="..."}    1 for the dispatched kernel
-// Called automatically against the global registry (when enabled) at
-// selection time; benches with private registries call it directly.
-void ExportXorKernelMetrics(MetricsRegistry* registry);
 
 }  // namespace ftms
 
